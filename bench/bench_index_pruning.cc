@@ -123,8 +123,11 @@ int Main(int argc, char** argv) {
     IndexPolicy policy;
     const std::vector<PlanNodePtr>* plans;
   };
+  // Full-scan baseline: the grid plans with every access-path mark cleared.
+  const std::vector<PlanNodePtr> off_plans = bench::WithPolicy(
+      storage.catalog(), grid_plans, {.index = IndexPolicy::kForceFullScan});
   const Mode modes[] = {
-      {"off", IndexPolicy::kForceFullScan, &grid_plans},
+      {"off", IndexPolicy::kForceFullScan, &off_plans},
       {"zone", IndexPolicy::kHonorPlan, &zone_plans},
       {"grid", IndexPolicy::kHonorPlan, &grid_plans},
   };
@@ -142,7 +145,6 @@ int Main(int argc, char** argv) {
       // Threads engine.
       ExecOptions eopts;
       eopts.page_bytes = page_bytes;
-      eopts.index = mode.policy;
       ExecStats estats;
       auto eresult = RunQuery(&storage, plan, eopts, &estats);
       DFDB_CHECK(eresult.ok()) << eresult.status();
@@ -151,7 +153,6 @@ int Main(int argc, char** argv) {
       // Ring simulator.
       MachineOptions mopts;
       mopts.config.page_bytes = page_bytes;
-      mopts.index = mode.policy;
       MachineSimulator sim(&storage, mopts);
       auto mreport = sim.Run({&plan});
       DFDB_CHECK(mreport.ok()) << mreport.status();

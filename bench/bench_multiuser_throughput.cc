@@ -1,27 +1,24 @@
 /// \file bench_multiuser_throughput.cc
-/// \brief Multi-user throughput: MVCC snapshot reads vs barrier admission
-/// vs pool-per-query.
+/// \brief Multi-user throughput: the resident MVCC scheduler vs
+/// pool-per-query.
 ///
 /// Section 4.0, requirement 1: the master controller must "support the
 /// simultaneous execution of multiple queries from several users". This
 /// bench replays a mixed reader/writer query stream from several client
-/// threads under the three execution regimes the repo has grown through:
+/// threads under two execution regimes:
 ///
 ///   per_query         — the historical model: each query stands up its own
 ///       worker pool via RunQuery, with the callers spinning on the
 ///       ConflictManager themselves ("the caller's responsibility").
-///   resident_barrier  — one long-lived Scheduler with the legacy S/X
-///       admission: every reader of a written relation queues behind the
-///       writer.
-///   resident_snapshot — the same Scheduler under MVCC snapshot reads (the
-///       default): readers are stamped with an immutable Snapshot at
-///       admission and never queue; the admission queue arbitrates
-///       writer–writer conflicts only.
+///   resident_snapshot — one long-lived Scheduler under MVCC snapshot reads:
+///       readers are stamped with an immutable Snapshot at admission and
+///       never queue; the admission queue arbitrates writer–writer
+///       conflicts only.
 ///
 /// The stream is constructed so reader results are a database invariant:
 /// writers only touch k1000 >= 900 rows of r14, every reader restricts
 /// r14 below that. The bench hashes all reader results per mode and checks
-/// the three modes return byte-identical reader bytes — snapshot reads may
+/// the two modes return byte-identical reader bytes — snapshot reads may
 /// not change answers, only waiting. It also asserts that under
 /// resident_snapshot no reader ever queued.
 ///
@@ -200,18 +197,13 @@ ModeResult RunPerQuery(StorageEngine* storage,
   return out;
 }
 
-/// Resident-scheduler modes: the same clients Submit() into one long-lived
-/// pool; the MC admission queue replaces the callers' spin loops. \p mode
-/// selects MVCC snapshot reads (readers never queue) or the legacy barrier
-/// regime (relation-level S/X admission).
+/// Resident-scheduler mode: the same clients Submit() into one long-lived
+/// pool; the MC admission queue replaces the callers' spin loops, and
+/// snapshot reads keep readers out of it entirely.
 ModeResult RunResident(StorageEngine* storage,
                        const std::vector<StreamQuery>& stream,
-                       const ExecOptions& opts, int clients,
-                       ConcurrencyMode mode) {
-  SchedulerOptions sched_opts;
-  sched_opts.exec = opts;
-  sched_opts.concurrency = mode;
-  Scheduler scheduler(storage, std::move(sched_opts));
+                       const ExecOptions& opts, int clients) {
+  Scheduler scheduler(storage, opts);
   std::atomic<size_t> cursor{0};
   std::vector<uint64_t> queued(stream.size(), 0);
   std::vector<uint64_t> hashes(stream.size(), 0);
@@ -268,7 +260,7 @@ int Main(int argc, char** argv) {
   const int procs = bench::FlagInt(argc, argv, "procs", 8);
   DFDB_CHECK(total >= 16) << "need a >=16-query stream for a meaningful mix";
 
-  std::printf("== multi-user throughput: snapshot vs barrier vs "
+  std::printf("== multi-user throughput: resident snapshot vs "
               "pool-per-query ==\n");
   std::printf("# stream: %d queries (every 4th a writer, every 4th an r14 "
               "reader), %d clients, %d processors\n", total, clients, procs);
@@ -280,29 +272,17 @@ int Main(int argc, char** argv) {
   bench::Table table({"mode", "wall_s", "qps", "reader_queued",
                       "writer_queued", "avg_queue_wait_ms", "reader_hash"});
   bench::RunTable runs({"mode"});
-  constexpr int kNumModes = 3;
+  constexpr int kNumModes = 2;
   ModeResult results[kNumModes];
-  const char* kModes[kNumModes] = {"per_query", "resident_barrier",
-                                   "resident_snapshot"};
+  const char* kModes[kNumModes] = {"per_query", "resident_snapshot"};
   for (int m = 0; m < kNumModes; ++m) {
     // Fresh, identically seeded database per mode: writers mutate r14, so
     // reusing one database would hand the next mode a different input.
     StorageEngine storage(/*default_page_bytes=*/16384);
     bench::BuildDatabaseOrDie(&storage, scale);
     std::vector<StreamQuery> stream = BuildStream(total, &storage);
-    switch (m) {
-      case 0:
-        results[m] = RunPerQuery(&storage, stream, opts, clients);
-        break;
-      case 1:
-        results[m] = RunResident(&storage, stream, opts, clients,
-                                 ConcurrencyMode::kBarrier);
-        break;
-      default:
-        results[m] = RunResident(&storage, stream, opts, clients,
-                                 ConcurrencyMode::kSnapshot);
-        break;
-    }
+    results[m] = m == 0 ? RunPerQuery(&storage, stream, opts, clients)
+                        : RunResident(&storage, stream, opts, clients);
     const ModeResult& r = results[m];
     const double avg_wait_ms =
         r.queue_wait_ns > 0
@@ -326,16 +306,13 @@ int Main(int argc, char** argv) {
 
   // The MVCC contract, checked on every run: snapshot-mode readers are
   // admitted immediately, and no regime changes reader bytes.
-  DFDB_CHECK(results[2].reader_queued == 0)
+  DFDB_CHECK(results[1].reader_queued == 0)
       << "snapshot mode queued a reader";
-  DFDB_CHECK(results[0].reader_hash == results[1].reader_hash &&
-             results[1].reader_hash == results[2].reader_hash)
+  DFDB_CHECK(results[0].reader_hash == results[1].reader_hash)
       << "reader results diverged across concurrency modes";
 
   std::printf("# resident_snapshot/per_query qps: %.2fx\n",
-              results[2].qps / results[0].qps);
-  std::printf("# resident_snapshot/resident_barrier qps: %.2fx\n",
-              results[2].qps / results[1].qps);
+              results[1].qps / results[0].qps);
 
   bench::WriteJson("bench_multiuser_throughput", argc, argv);
   return 0;

@@ -10,9 +10,9 @@
 ///                 per node, successors wait for completion);
 ///   data-flow   — page granularity with the same #IPs, free assignment;
 ///   fused       — data-flow plus the per-edge pipeline-fusion decision
-///                 (PipelinePolicy::kForceFuse): restrict-over-base
-///                 producers fold into the consumer's operand staging, so
-///                 they never occupy an IP at all.
+///                 (ApplyPlanPolicy with PipelinePolicy::kForceFuse):
+///                 restrict-over-base producers fold into the consumer's
+///                 operand staging, so they never occupy an IP at all.
 /// Also reports the uniprocessor nested-loops vs sorted-merge baseline on
 /// the reference executor (Blasgen & Eswaran, Section 2.1).
 
@@ -24,6 +24,7 @@
 #include "engine/reference.h"
 #include "machine/simulator.h"
 #include "ra/analyzer.h"
+#include "ra/optimizer.h"
 
 namespace dfdb {
 namespace {
@@ -49,6 +50,8 @@ int Main(int argc, char** argv) {
             ? 1
             : analysis->num_joins + analysis->num_restricts +
                   analysis->num_projects;
+    // Mode 3 runs the resolved clone with every safe edge marked fused.
+    ApplyPlanPolicy(clone.get(), {.pipeline = PipelinePolicy::kForceFuse});
     double times[4];
     for (int mode = 0; mode < 4; ++mode) {
       MachineOptions opts;
@@ -70,11 +73,10 @@ int Main(int argc, char** argv) {
         case 3:  // Data-flow with every foldable edge fused.
           opts.granularity = Granularity::kPage;
           opts.config.num_instruction_processors = std::max(1, instr_count);
-          opts.pipeline = PipelinePolicy::kForceFuse;
           break;
       }
       MachineSimulator sim(&storage, opts);
-      auto report = sim.Run({q.root.get()});
+      auto report = sim.Run({mode == 3 ? clone.get() : q.root.get()});
       DFDB_CHECK(report.ok()) << report.status();
       times[mode] = report->makespan.ToSecondsF();
     }

@@ -60,9 +60,16 @@ int Main(int argc, char** argv) {
   MachineOptions base;
   base.config.num_instruction_processors = ips;
   base.config.page_bytes = page_bytes;
-  // Isolate the fusion variable: near-data pushdown would pre-filter the
-  // restricts during staging in both modes and mask the edge decision.
-  base.pushdown = PushdownPolicy::kForceOff;
+  // Mode 0 materializes every edge, mode 1 honors the optimizer's marks.
+  // Both isolate the fusion variable: near-data pushdown would pre-filter
+  // the restricts during staging in both modes and mask the edge decision.
+  const std::vector<PlanNodePtr> mode_plans[2] = {
+      bench::WithPolicy(storage.catalog(), optimized,
+                        {.pipeline = PipelinePolicy::kForceMaterialize,
+                         .pushdown = PushdownPolicy::kForceOff}),
+      bench::WithPolicy(storage.catalog(), optimized,
+                        {.pushdown = PushdownPolicy::kForceOff}),
+  };
 
   bench::Table table({"query", "fused_edges", "materialized_s", "fused_s",
                       "speedup_x", "pages_elided"});
@@ -71,14 +78,11 @@ int Main(int argc, char** argv) {
     double secs[2];
     uint64_t elided = 0;
     for (int mode = 0; mode < 2; ++mode) {
-      MachineOptions opts = base;
-      opts.pipeline = mode == 0 ? PipelinePolicy::kForceMaterialize
-                                : PipelinePolicy::kHonorPlan;
-      MachineSimulator sim(&storage, opts);
-      auto report = sim.Run({optimized[qi].get()});
+      MachineSimulator sim(&storage, base);
+      auto report = sim.Run({mode_plans[mode][qi].get()});
       DFDB_CHECK(report.ok()) << report.status();
       secs[mode] = report->makespan.ToSecondsF();
-      if (mode == 1) elided = report->pipeline_pages_elided;
+      if (mode == 1) elided = report->pipeline.pages_elided;
     }
     if (queries[qi].id >= 3) {
       subset_mat += secs[0];
@@ -97,14 +101,9 @@ int Main(int argc, char** argv) {
 
   // Whole-mix simulator runs: full counter snapshots for both modes, with
   // the headline gauges on the fused report.
-  std::vector<const PlanNode*> plans;
-  for (const PlanNodePtr& p : optimized) plans.push_back(p.get());
   for (int mode = 0; mode < 2; ++mode) {
-    MachineOptions opts = base;
-    opts.pipeline = mode == 0 ? PipelinePolicy::kForceMaterialize
-                              : PipelinePolicy::kHonorPlan;
-    MachineSimulator sim(&storage, opts);
-    auto report = sim.Run(plans);
+    MachineSimulator sim(&storage, base);
+    auto report = sim.Run(bench::PlanPointers(mode_plans[mode]));
     DFDB_CHECK(report.ok()) << report.status();
     obs::RunReport run = report->ToReport();
     run.label = mode == 0 ? "sim materialized" : "sim fused";
@@ -120,12 +119,9 @@ int Main(int argc, char** argv) {
 
   // Threads-engine batch, both policies: publishes engine.pipeline.*.
   for (int mode = 0; mode < 2; ++mode) {
-    ExecOptions eopts;
-    eopts.pipeline = mode == 0 ? PipelinePolicy::kForceMaterialize
-                               : PipelinePolicy::kHonorPlan;
-    eopts.pushdown = PushdownPolicy::kForceOff;
     ExecStats stats;
-    auto results = RunBatch(&storage, plans, eopts, &stats);
+    auto results = RunBatch(&storage, bench::PlanPointers(mode_plans[mode]),
+                            ExecOptions{}, &stats);
     DFDB_CHECK(results.ok()) << results.status();
     obs::RunReport run = stats.ToReport();
     run.label = mode == 0 ? "engine materialized" : "engine fused";

@@ -101,11 +101,12 @@ int Main(int argc, char** argv) {
 
   struct Mode {
     const char* name;
-    PushdownPolicy policy;
+    std::vector<PlanNodePtr> plans;
   };
   const Mode modes[] = {
-      {"off", PushdownPolicy::kForceOff},
-      {"on", PushdownPolicy::kHonorPlan},
+      {"off", bench::WithPolicy(storage.catalog(), plans,
+                                {.pushdown = PushdownPolicy::kForceOff})},
+      {"on", bench::WithPolicy(storage.catalog(), plans, {})},
   };
 
   bench::Table table({"query", "mode", "engine_arb_bytes", "engine_s",
@@ -118,18 +119,16 @@ int Main(int argc, char** argv) {
     uint64_t engine_filtered = 0;
     for (int mi = 0; mi < 2; ++mi) {
       const Mode& mode = modes[mi];
-      const PlanNode& plan = *plans[qi];
+      const PlanNode& plan = *mode.plans[qi];
       // Threads engine.
       ExecOptions eopts;
       eopts.page_bytes = page_bytes;
-      eopts.pushdown = mode.policy;
       ExecStats estats;
       auto eresult = RunQuery(&storage, plan, eopts, &estats);
       DFDB_CHECK(eresult.ok()) << eresult.status();
       // Ring simulator.
       MachineOptions mopts;
       mopts.config.page_bytes = page_bytes;
-      mopts.pushdown = mode.policy;
       MachineSimulator sim(&storage, mopts);
       auto mreport = sim.Run({&plan});
       DFDB_CHECK(mreport.ok()) << mreport.status();
@@ -195,12 +194,10 @@ int Main(int argc, char** argv) {
   // Whole-mix runs per mode: full counter snapshots for the JSON report
   // (machine.pushdown.* / engine.pushdown.* observability contract), with
   // the headline gauges on the pushed-down runs.
-  std::vector<const PlanNode*> mix;
-  for (const PlanNodePtr& p : plans) mix.push_back(p.get());
   for (int mi = 0; mi < 2; ++mi) {
+    const std::vector<const PlanNode*> mix = bench::PlanPointers(modes[mi].plans);
     MachineOptions mopts;
     mopts.config.page_bytes = page_bytes;
-    mopts.pushdown = modes[mi].policy;
     MachineSimulator sim(&storage, mopts);
     auto mreport = sim.Run(mix);
     DFDB_CHECK(mreport.ok()) << mreport.status();
@@ -218,7 +215,6 @@ int Main(int argc, char** argv) {
 
     ExecOptions eopts;
     eopts.page_bytes = page_bytes;
-    eopts.pushdown = modes[mi].policy;
     ExecStats estats;
     auto eresults = RunBatch(&storage, mix, eopts, &estats);
     DFDB_CHECK(eresults.ok()) << eresults.status();

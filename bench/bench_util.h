@@ -21,6 +21,8 @@
 #include "common/string_util.h"
 #include "obs/json.h"
 #include "obs/run_report.h"
+#include "ra/analyzer.h"
+#include "ra/optimizer.h"
 #include "ra/plan.h"
 #include "storage/storage_engine.h"
 #include "workload/paper_benchmark.h"
@@ -71,6 +73,32 @@ inline std::vector<const PlanNode*> QueryPointers(
   std::vector<const PlanNode*> out;
   out.reserve(queries.size());
   for (const Query& q : queries) out.push_back(q.root.get());
+  return out;
+}
+
+/// Raw pointers to owned plans.
+inline std::vector<const PlanNode*> PlanPointers(
+    const std::vector<PlanNodePtr>& plans) {
+  std::vector<const PlanNode*> out;
+  out.reserve(plans.size());
+  for (const PlanNodePtr& p : plans) out.push_back(p.get());
+  return out;
+}
+
+/// Resolved copies of \p plans with their marks rewritten per \p policy:
+/// the plans an ablation bench submits for one side of a comparison.
+inline std::vector<PlanNodePtr> WithPolicy(
+    const Catalog& catalog, const std::vector<PlanNodePtr>& plans,
+    const PlanPolicy& policy) {
+  Analyzer analyzer(&catalog);
+  std::vector<PlanNodePtr> out;
+  out.reserve(plans.size());
+  for (const PlanNodePtr& p : plans) {
+    out.push_back(p->Clone());
+    auto resolved = analyzer.Resolve(out.back().get());
+    DFDB_CHECK(resolved.ok()) << resolved.status();
+    ApplyPlanPolicy(out.back().get(), policy);
+  }
   return out;
 }
 

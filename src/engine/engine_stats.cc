@@ -5,43 +5,20 @@
 
 namespace dfdb {
 
-std::string ExecStats::ToString() const {
-  std::string out = StrFormat(
-      "wall=%.3fs tasks=%llu packets=%llu arb=%s dist=%s ovh=%s pages=%llu "
-      "tuples=%llu | %s",
-      wall_seconds, static_cast<unsigned long long>(tasks_executed),
-      static_cast<unsigned long long>(packets),
-      HumanBytes(static_cast<int64_t>(arbitration_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(distribution_bytes)).c_str(),
-      HumanBytes(static_cast<int64_t>(overhead_bytes)).c_str(),
-      static_cast<unsigned long long>(pages_produced),
-      static_cast<unsigned long long>(tuples_produced),
-      buffer.ToString().c_str());
-  if (sched_queued > 0) {
-    out += StrFormat(
-        " | sched: admitted=%llu queued=%llu requeues=%llu wait=%.3fms",
-        static_cast<unsigned long long>(sched_admitted),
-        static_cast<unsigned long long>(sched_queued),
-        static_cast<unsigned long long>(sched_requeues),
-        static_cast<double>(sched_queue_wait_ns) / 1e6);
-  }
-  if (faults_injected > 0) {
-    out += StrFormat(
-        " | faults=%llu abandoned=%llu redispatched=%llu poison=%llu",
-        static_cast<unsigned long long>(faults_injected),
-        static_cast<unsigned long long>(workers_abandoned),
-        static_cast<unsigned long long>(redispatched_tasks),
-        static_cast<unsigned long long>(poison_dropped));
-  }
-  if (pipeline_fused_edges > 0 || pipeline_runtime_fallbacks > 0) {
+std::string PlanCountersToString(const PipelineCounters& pipeline,
+                                 const IndexPruneCounters& index,
+                                 const PushdownCounters& pushdown,
+                                 const KernelStatsSnapshot& kernel) {
+  std::string out;
+  if (pipeline.fused_edges > 0 || pipeline.runtime_fallbacks > 0) {
     out += StrFormat(
         " | pipeline: fused=%llu materialized=%llu elided=%llu "
         "fused_pages=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(pipeline_fused_edges),
-        static_cast<unsigned long long>(pipeline_materialized_edges),
-        static_cast<unsigned long long>(pipeline_pages_elided),
-        static_cast<unsigned long long>(pipeline_fused_pages),
-        static_cast<unsigned long long>(pipeline_runtime_fallbacks));
+        static_cast<unsigned long long>(pipeline.fused_edges),
+        static_cast<unsigned long long>(pipeline.materialized_edges),
+        static_cast<unsigned long long>(pipeline.pages_elided),
+        static_cast<unsigned long long>(pipeline.fused_pages),
+        static_cast<unsigned long long>(pipeline.runtime_fallbacks));
   }
   if (index.any()) {
     out += StrFormat(
@@ -75,6 +52,38 @@ std::string ExecStats::ToString() const {
   return out;
 }
 
+std::string ExecStats::ToString() const {
+  std::string out = StrFormat(
+      "wall=%.3fs tasks=%llu packets=%llu arb=%s dist=%s ovh=%s pages=%llu "
+      "tuples=%llu | %s",
+      wall_seconds, static_cast<unsigned long long>(tasks_executed),
+      static_cast<unsigned long long>(packets),
+      HumanBytes(static_cast<int64_t>(arbitration_bytes)).c_str(),
+      HumanBytes(static_cast<int64_t>(distribution_bytes)).c_str(),
+      HumanBytes(static_cast<int64_t>(overhead_bytes)).c_str(),
+      static_cast<unsigned long long>(pages_produced),
+      static_cast<unsigned long long>(tuples_produced),
+      buffer.ToString().c_str());
+  if (sched_queued > 0) {
+    out += StrFormat(
+        " | sched: admitted=%llu queued=%llu requeues=%llu wait=%.3fms",
+        static_cast<unsigned long long>(sched_admitted),
+        static_cast<unsigned long long>(sched_queued),
+        static_cast<unsigned long long>(sched_requeues),
+        static_cast<double>(sched_queue_wait_ns) / 1e6);
+  }
+  if (faults_injected > 0) {
+    out += StrFormat(
+        " | faults=%llu abandoned=%llu redispatched=%llu poison=%llu",
+        static_cast<unsigned long long>(faults_injected),
+        static_cast<unsigned long long>(workers_abandoned),
+        static_cast<unsigned long long>(redispatched_tasks),
+        static_cast<unsigned long long>(poison_dropped));
+  }
+  out += PlanCountersToString(pipeline, index, pushdown, kernel);
+  return out;
+}
+
 void RegisterMetrics(const ExecStats& stats, obs::MetricsRegistry* registry) {
   registry->Set("engine.tasks_executed", stats.tasks_executed);
   registry->Set("engine.packets", stats.packets);
@@ -96,26 +105,9 @@ void RegisterMetrics(const ExecStats& stats, obs::MetricsRegistry* registry) {
   registry->Set("engine.mvcc.pages_copied", stats.mvcc_pages_copied);
   registry->Set("engine.mvcc.gc_reclaimed", stats.mvcc_gc_reclaimed);
   registry->Set("engine.mvcc.commits", stats.mvcc_commits);
-  registry->Set("engine.pipeline.fused_edges", stats.pipeline_fused_edges);
-  registry->Set("engine.pipeline.materialized_edges",
-                stats.pipeline_materialized_edges);
-  registry->Set("engine.pipeline.pages_elided", stats.pipeline_pages_elided);
-  registry->Set("engine.pipeline.fused_pages", stats.pipeline_fused_pages);
-  registry->Set("engine.pipeline.runtime_fallbacks",
-                stats.pipeline_runtime_fallbacks);
-  registry->Set("engine.kernel.compiled_pages", stats.kernel.compiled_pages);
-  registry->Set("engine.kernel.interpreted_pages",
-                stats.kernel.interpreted_pages);
-  registry->Set("engine.kernel.compile_fallbacks",
-                stats.kernel.compile_fallbacks);
-  registry->Set("engine.kernel.hash_joins", stats.kernel.hash_joins);
-  registry->Set("engine.kernel.nested_joins", stats.kernel.nested_joins);
-  registry->Set("engine.kernel.hash_build_collisions",
-                stats.kernel.hash_build_collisions);
-  registry->Set("engine.index.pages_pruned", stats.index.pages_pruned);
-  registry->Set("engine.index.zonemap_hits", stats.index.zonemap_hits);
-  registry->Set("engine.index.gridfile_probes", stats.index.gridfile_probes);
-  registry->Set("engine.index.fallback_scans", stats.index.fallback_scans);
+  RegisterPipelineMetrics(stats.pipeline, "engine.pipeline.", registry);
+  RegisterKernelMetrics(stats.kernel, "engine.kernel.", registry);
+  RegisterIndexMetrics(stats.index, "engine.index.", registry);
   RegisterPushdownMetrics(stats.pushdown, "engine.pushdown.", registry);
   registry->Set("engine.faults.injected", stats.faults_injected);
   registry->Set("engine.faults.workers_abandoned", stats.workers_abandoned);

@@ -12,6 +12,7 @@
 #include "index/index_stats.h"
 #include "obs/run_report.h"
 #include "operators/kernels.h"
+#include "ra/physical_plan.h"
 #include "storage/buffer_manager.h"
 #include "storage/pushdown.h"
 
@@ -44,17 +45,9 @@ struct EngineCounters {
   std::atomic<uint64_t> redispatched_tasks{0};
   /// Poisoned packets detected and dropped by workers.
   std::atomic<uint64_t> poison_dropped{0};
-  // Pipeline-fusion outcomes (engine.pipeline.*). Edges are counted once
-  // per query at task-build time; pages as the fused chains run.
-  std::atomic<uint64_t> pipeline_fused_edges{0};
-  std::atomic<uint64_t> pipeline_materialized_edges{0};
-  /// Intermediate pages that were never built because the edge was fused.
-  std::atomic<uint64_t> pipeline_pages_elided{0};
-  /// Input pages run through a FusedPipeline program.
-  std::atomic<uint64_t> pipeline_fused_pages{0};
-  /// Edges the plan marked fused but the engine had to materialize (safety
-  /// re-check failed at build time).
-  std::atomic<uint64_t> pipeline_runtime_fallbacks{0};
+  /// Pipeline-fusion outcomes (engine.pipeline.*). Edges are counted once
+  /// per query at task-build time; pages as the fused chains run.
+  PipelineStats pipeline;
   /// Compiled-vs-interpreted kernel split (engine.kernel.*).
   KernelStats kernel;
   /// Access-path pruning outcomes (engine.index.*).
@@ -84,11 +77,7 @@ struct ExecStats {
   uint64_t redispatched_tasks = 0;
   uint64_t poison_dropped = 0;
   /// Pipeline-fusion outcomes (engine.pipeline.*).
-  uint64_t pipeline_fused_edges = 0;
-  uint64_t pipeline_materialized_edges = 0;
-  uint64_t pipeline_pages_elided = 0;
-  uint64_t pipeline_fused_pages = 0;
-  uint64_t pipeline_runtime_fallbacks = 0;
+  PipelineCounters pipeline;
   // MC scheduler admission outcomes (engine.sched.*). Per-query snapshots
   // carry this query's own values (admitted/queued are then 0-or-1); batch
   // and scheduler aggregates carry totals. queue_wait_ns is exactly 0 for
@@ -140,6 +129,13 @@ struct ExecStats {
 
   std::string ToString() const;
 };
+
+/// The " | pipeline: ... | index: ... | pushdown: ... | kernel: ..." tail
+/// both backends' ToString() append (families with no activity omitted).
+std::string PlanCountersToString(const PipelineCounters& pipeline,
+                                 const IndexPruneCounters& index,
+                                 const PushdownCounters& pushdown,
+                                 const KernelStatsSnapshot& kernel);
 
 /// Registers every ExecStats counter into \p registry under the
 /// observability naming scheme (`engine.tasks_executed`,

@@ -4,7 +4,7 @@
 #ifndef DFDB_ENGINE_EXEC_OPTIONS_H_
 #define DFDB_ENGINE_EXEC_OPTIONS_H_
 
-#include <string>
+#include <cstdint>
 #include <string_view>
 
 namespace dfdb {
@@ -24,45 +24,6 @@ enum class Granularity {
 
 std::string_view GranularityToString(Granularity g);
 
-/// \brief How an engine treats the optimizer's per-edge pipeline marks
-/// (PlanNode::pipeline_fused; see DESIGN.md "Pipeline fusion").
-enum class PipelinePolicy {
-  /// Fuse exactly the edges the optimizer marked (default).
-  kHonorPlan,
-  /// Materialize every edge regardless of marks — the pre-fusion
-  /// behaviour, and the differential-testing baseline.
-  kForceMaterialize,
-  /// Fuse every edge that passes the safety conditions (PipelineEdgeSafe),
-  /// marked or not. Stats vetoes are ignored; safety is still enforced.
-  kForceFuse,
-};
-
-std::string_view PipelinePolicyToString(PipelinePolicy p);
-
-/// \brief How an engine treats the optimizer's per-scan access-path marks
-/// (PlanNode::access_path; see DESIGN.md "Indexing & page pruning").
-enum class IndexPolicy {
-  /// Prune marked scans through zone maps / grid files (default).
-  kHonorPlan,
-  /// Read every page regardless of marks — the pre-index behaviour, and
-  /// the differential-testing baseline.
-  kForceFullScan,
-};
-
-std::string_view IndexPolicyToString(IndexPolicy p);
-
-/// \brief How an engine treats the optimizer's per-scan pushdown marks
-/// (PlanNode::pushdown; see DESIGN.md "Near-data pushdown").
-enum class PushdownPolicy {
-  /// Execute marked restricts inside the storage hierarchy (default).
-  kHonorPlan,
-  /// Ship raw pages and filter at the processors regardless of marks —
-  /// the pre-pushdown behaviour, and the differential-testing baseline.
-  kForceOff,
-};
-
-std::string_view PushdownPolicyToString(PushdownPolicy p);
-
 /// \brief Deterministic fault schedule for the threaded engine — the
 /// analogue of the machine simulator's FaultPlan. Workers abandon work at
 /// operator-packet boundaries, so a restarted task re-runs from scratch and
@@ -72,7 +33,10 @@ struct EngineFaultPlan {
   /// Workers that abandon mid-query and exit (clamped so at least one
   /// worker survives).
   int abandon_workers = 0;
-  /// A doomed worker abandons after claiming this many tasks.
+  /// Abandonment is keyed to the pool-wide task-claim sequence: the
+  /// workers that make claims abandon_after_tasks + 1 through
+  /// abandon_after_tasks + abandon_workers abandon, one per claim, so a run
+  /// with that many claims sees exactly that many abandonments.
   uint64_t abandon_after_tasks = 4;
   /// Corrupted no-op packets injected into the task queue.
   int poison_packets = 0;
@@ -109,17 +73,6 @@ struct ExecOptions {
   /// Partition count for the parallel duplicate-elimination project.
   int dedup_partitions = 16;
 
-  /// Per-edge pipeline-vs-materialize execution policy.
-  PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
-
-  /// Per-scan access-path execution policy (honor index marks vs force
-  /// full scans).
-  IndexPolicy index = IndexPolicy::kHonorPlan;
-
-  /// Per-scan near-data pushdown policy (filter marked scans inside the
-  /// storage hierarchy vs ship raw pages).
-  PushdownPolicy pushdown = PushdownPolicy::kHonorPlan;
-
   /// Deterministic fault schedule (empty = healthy workers).
   EngineFaultPlan fault_plan;
 
@@ -127,8 +80,6 @@ struct ExecOptions {
   /// default: with tracing disabled the engine only keeps its counters and
   /// the observability layer costs one branch per event site.
   bool enable_trace = false;
-
-  std::string ToString() const;
 };
 
 }  // namespace dfdb

@@ -29,6 +29,7 @@
 #include "operators/set_ops.h"
 #include "ra/analyzer.h"
 #include "ra/optimizer.h"
+#include "ra/physical_plan.h"
 #include "storage/buffer_manager.h"
 
 namespace dfdb {
@@ -69,16 +70,17 @@ struct NodeState {
   int num_inputs = 0;
   std::vector<int> project_indices;  // kProject.
   HeapFile* target_file = nullptr;   // kAppend / kDelete.
-  /// Predicate program compiled once per query (kRestrict / kDelete);
-  /// empty when compilation was refused and the node interprets per tuple.
-  std::optional<CompiledPredicate> compiled_pred;
-  /// Near-data pushdown (kScan on a marked plan): the consuming restrict's
-  /// predicate, compiled against the scan schema, run by the buffer
+  /// Programs from the query's PhysicalPlan. compiled_pred (kRestrict /
+  /// kDelete) and compiled_join (kJoin) are null when compilation was
+  /// refused and the node interprets per tuple. pushdown_pred (kScan on a
+  /// marked plan) is the consuming restrict's program, run by the buffer
   /// hierarchy during the cache -> local transfer so only survivors ride
-  /// the edge. Empty = raw path.
-  std::optional<CompiledPredicate> pushdown_pred;
-  /// Join program with extracted equi-keys (kJoin).
-  std::optional<CompiledJoinPredicate> compiled_join;
+  /// the edge (the restrict re-applies it to them: compiled predicates
+  /// cannot fail per tuple, so re-filtering is idempotent); null = raw
+  /// path.
+  const CompiledPredicate* compiled_pred = nullptr;
+  const CompiledPredicate* pushdown_pred = nullptr;
+  const CompiledJoinPredicate* compiled_join = nullptr;
   /// Pipeline fusion (unary-chain collapse): the steps of every absorbed
   /// fused producer below this node plus this node's own operation, run as
   /// one pass per input page. The absorbed nodes have no NodeState — their
@@ -163,6 +165,7 @@ struct QueryRuntime {
   size_t batch_index = 0;
   std::unique_ptr<PlanNode> plan;
   QueryAnalysis analysis;
+  PhysicalPlan physical;
   std::vector<std::unique_ptr<NodeState>> nodes;
   NodeState* root = nullptr;
   std::shared_ptr<QueryState> state;
@@ -183,9 +186,9 @@ struct QueryRuntime {
   bool bypassed_admission = false;
 
   /// The immutable point-in-time view this query's scans execute against,
-  /// stamped at admission (invalid in barrier mode). Released when the
-  /// runtime is reaped — outside admit_mu_ — which is what lets version GC
-  /// key off "no live snapshot can see it".
+  /// stamped at admission. Released when the runtime is reaped — outside
+  /// admit_mu_ — which is what lets version GC key off "no live snapshot
+  /// can see it".
   Snapshot snapshot;
 
   /// Completion/reaping protocol: `in_flight` counts the frames that may
@@ -349,29 +352,26 @@ class SchedulerImpl {
   /// what the per-edge pipeline decision is evaluated against.
   NodeState* BuildNode(const PlanNode* n, NodeState* parent, int slot,
                        QueryRuntime* q, const PlanNode* plan_parent);
-  /// True when the edge \p producer -> \p consumer runs fused under the
-  /// session policy. With \p count_fallback set, a plan-marked edge the
-  /// safety conditions reject is recorded as a runtime fallback (the
-  /// absorption chain walk passes false; the edge is classified — and
-  /// counted — once, when its producer node is built).
+  /// True when the plan marks the edge \p producer -> \p consumer fused
+  /// and the safety conditions hold. With \p count_fallback set, a marked
+  /// edge the safety conditions reject (a hand-marked plan) is recorded as
+  /// a runtime fallback (the absorption chain walk passes false; the edge
+  /// is classified — and counted — once, when its producer node is built).
   bool EdgeFused(const PlanNode& producer, const PlanNode& consumer,
                  QueryRuntime* q, bool count_fallback = true);
-  /// Compiles the absorbed producer chain (nearest-first) plus \p ns's own
-  /// operation into ns->fused.
+  /// Builds the absorbed producer chain (nearest-first) plus \p ns's own
+  /// operation into ns->fused from the query's compiled programs.
   Status BuildFusedChain(NodeState* ns,
                          const std::vector<const PlanNode*>& chain);
   /// Enqueues every source-driver task of \p q as one atomic batch. The
   /// caller must hold an `in_flight` reference on \p q (see MaybeReap).
   void LaunchQuery(QueryRuntime* q);
-  /// Snapshot mode, at admission (admit_mu_ held): publishes committed
-  /// state the query is entitled to see, captures its snapshot, and
-  /// registers its write ownership. Because admissions are serialized under
-  /// admit_mu_, snapshot timestamps derive from admission order — the
-  /// deterministic-replay property.
+  /// At admission (admit_mu_ held): publishes committed state the query
+  /// is entitled to see, captures its snapshot, and registers its write
+  /// ownership. Because admissions are serialized under admit_mu_, snapshot
+  /// timestamps derive from admission order — the deterministic-replay
+  /// property.
   void StampSnapshotLocked(QueryRuntime* q);
-  bool snapshot_mode() const {
-    return options_.concurrency == ConcurrencyMode::kSnapshot;
-  }
   /// Storage-wide MVCC stats attributed to this scheduler: monotone
   /// counters are reported as deltas since construction (so re-running an
   /// identical batch on warm storage exports identical counters), gauges
@@ -407,6 +407,8 @@ class SchedulerImpl {
   std::atomic<size_t> enabled_packets_{0};
   std::atomic<int> busy_workers_{0};
   std::atomic<int> peak_busy_workers_{0};
+  /// Pool-wide task-claim sequence (keys EngineFaultPlan abandonment).
+  std::atomic<uint64_t> claims_{0};
 
   /// Taken for the full duration of Shutdown(); never taken under
   /// admit_mu_ (Shutdown acquires admit_mu_ inside it, not vice versa).
@@ -418,10 +420,9 @@ class SchedulerImpl {
   uint64_t next_qid_ = 1;
   uint64_t next_batch_index_ = 0;
   int active_queries_ = 0;
-  /// Snapshot mode: relation -> qid of the admitted writer mutating it
-  /// (under admit_mu_). StampSnapshotLocked must not commit a relation
-  /// another writer still owns — its uncommitted head is private until that
-  /// writer completes.
+  /// Relation -> qid of the admitted writer mutating it (under admit_mu_).
+  /// StampSnapshotLocked must not commit a relation another writer still
+  /// owns — its uncommitted head is private until that writer completes.
   std::map<std::string, uint64_t> writing_relations_;
   /// Storage MVCC counters at construction (see MvccDelta).
   MvccStats mvcc_baseline_;
@@ -608,9 +609,11 @@ void NodeState::OnClose(int slot) {
       RunJoinOuter(std::move(w));
     });
   }
-  if (node->op == PlanOp::kDifference && slot == 1) {
-    ReleaseDifferenceLeftIfReady();
-  }
+  // Either close may be the one that makes the right side done: the right
+  // close in page mode, or — at relation granularity — whichever close
+  // launched the node (a right side with no pages launches no right tasks,
+  // so no task retirement would release the left buffer later).
+  if (node->op == PlanOp::kDifference) ReleaseDifferenceLeftIfReady();
   TryFinalize();
 }
 
@@ -730,15 +733,15 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
         // every absorbed step plus this node's own operation, emitting
         // straight into the output edge. The absorbed producers' pages
         // never exist (one elision per absorbed edge per input page).
-        ctr.pipeline_fused_pages.fetch_add(1, std::memory_order_relaxed);
-        ctr.pipeline_pages_elided.fetch_add(
+        ctr.pipeline.fused_pages.fetch_add(1, std::memory_order_relaxed);
+        ctr.pipeline.pages_elided.fetch_add(
             static_cast<uint64_t>(fused_chain_len),
             std::memory_order_relaxed);
         s = RunFusedPipeline(*fused, page, &sink, &ctr.kernel);
       } else {
         switch (node->op) {
         case PlanOp::kRestrict:
-          if (compiled_pred.has_value()) {
+          if (compiled_pred != nullptr) {
             s = RestrictPage(*compiled_pred, page, &sink, &ctr.kernel);
           } else {
             ctr.kernel.interpreted_pages.fetch_add(1,
@@ -913,7 +916,7 @@ void NodeState::RunJoinOuter(OuterWork w) {
                             "broadcast");
         }
         Status s;
-        if (compiled_join.has_value()) {
+        if (compiled_join != nullptr) {
           s = JoinPages(*compiled_join, *outer_page, *inner_page, &scratch,
                         &sink, &ctr.kernel);
         } else {
@@ -1013,12 +1016,12 @@ void SchedulerImpl::ScanStep(NodeState* node,
     std::this_thread::yield();
     return;
   }
-  if (node->pushdown_pred.has_value()) {
+  if (node->pushdown_pred != nullptr) {
     // Pushdown path: the compiled restrict runs where the page lives;
     // survivors repack into unit pages on the output edge, so the
     // consumer's operand fetches (arbitration traffic) shrink with the
     // selectivity.
-    CompiledFilter filter(&*node->pushdown_pred);
+    CompiledFilter filter(node->pushdown_pred);
     EdgePushdownSink sink(node->out.get());
     PushdownCounters local;
     Status s = buffer_.ReadFiltered((*ids)[idx], filter, &sink, &local);
@@ -1048,8 +1051,7 @@ void SchedulerImpl::DeleteDriver(NodeState* node) {
   if (!q->failed.load(std::memory_order_relaxed)) {
     const Schema& schema = node->node->output_schema;
     const Expr* pred = node->node->predicate.get();
-    const CompiledPredicate* compiled =
-        node->compiled_pred.has_value() ? &*node->compiled_pred : nullptr;
+    const CompiledPredicate* compiled = node->compiled_pred;
     Status pred_error = Status::OK();
     auto matcher = [&](const TupleView& t) {
       if (compiled != nullptr) return compiled->Matches(t.raw().data(), nullptr);
@@ -1100,6 +1102,11 @@ StatusOr<std::unique_ptr<QueryRuntime>> SchedulerImpl::Prepare(
   q->plan = plan.Clone();
   Analyzer analyzer(&storage_->catalog());
   DFDB_ASSIGN_OR_RETURN(q->analysis, analyzer.Resolve(q->plan.get()));
+  q->physical = PhysicalPlan(*q->plan);
+  q->counters.kernel.compile_fallbacks.fetch_add(
+      q->physical.compile_fallbacks(), std::memory_order_relaxed);
+  q->counters.pushdown.fallbacks.fetch_add(q->physical.pushdown_fallbacks(),
+                                           std::memory_order_relaxed);
   NodeState* root = BuildNode(q->plan.get(), nullptr, 0, q.get(), nullptr);
   if (root == nullptr) {
     return Status::Internal("failed to build node graph");
@@ -1112,24 +1119,13 @@ StatusOr<std::unique_ptr<QueryRuntime>> SchedulerImpl::Prepare(
 bool SchedulerImpl::EdgeFused(const PlanNode& producer,
                               const PlanNode& consumer, QueryRuntime* q,
                               bool count_fallback) {
-  if (producer.op == PlanOp::kScan) return false;
-  switch (opts().pipeline) {
-    case PipelinePolicy::kForceMaterialize:
-      return false;
-    case PipelinePolicy::kForceFuse:
-      return PipelineEdgeSafe(producer, consumer);
-    case PipelinePolicy::kHonorPlan:
-      if (!producer.pipeline_fused) return false;
-      if (!PipelineEdgeSafe(producer, consumer)) {
-        // The plan asked for fusion the engine cannot prove safe (e.g. a
-        // hand-marked plan): fall back to materialization.
-        if (count_fallback) {
-          q->counters.pipeline_runtime_fallbacks.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        return false;
-      }
-      return true;
+  if (!producer.pipeline_fused) return false;
+  if (PipelineEdgeSafe(producer, consumer)) return true;
+  // The plan asked for fusion the engine cannot prove safe (e.g. a
+  // hand-marked plan): fall back to materialization.
+  if (count_fallback) {
+    q->counters.pipeline.runtime_fallbacks.fetch_add(1,
+                                                     std::memory_order_relaxed);
   }
   return false;
 }
@@ -1145,9 +1141,11 @@ Status SchedulerImpl::BuildFusedChain(
   for (const PlanNode* a : steps) {
     const Schema& in = a->child(0).output_schema;
     if (a->op == PlanOp::kRestrict) {
-      DFDB_ASSIGN_OR_RETURN(CompiledPredicate pred,
-                            CompiledPredicate::Compile(*a->predicate, in));
-      ns->fused->AddFilter(std::move(pred));
+      const CompiledPredicate* pred = ns->query->physical.predicate(*a);
+      if (pred == nullptr) {
+        return Status::Internal("fused restrict not compiled");
+      }
+      ns->fused->AddFilter(*pred);
     } else if (a->op == PlanOp::kProject) {
       std::vector<int> indices;
       for (const std::string& name : a->columns) {
@@ -1185,54 +1183,9 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   ns->launched =
       opts().granularity != Granularity::kRelation || ns->num_inputs == 0;
 
-  // Predicate compilation: once per query per node. A refusal (division,
-  // CHAR/numeric mixing, ...) is not an error — the node interprets the
-  // tree per tuple instead, preserving exact runtime-error semantics.
-  if (n->predicate != nullptr) {
-    if (n->op == PlanOp::kRestrict || n->op == PlanOp::kDelete) {
-      const Schema& in =
-          n->num_children() > 0 ? n->child(0).output_schema : n->output_schema;
-      auto compiled = CompiledPredicate::Compile(*n->predicate, in);
-      if (compiled.ok()) {
-        ns->compiled_pred.emplace(*std::move(compiled));
-      } else {
-        q->counters.kernel.compile_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    } else if (n->op == PlanOp::kJoin) {
-      auto compiled = CompiledJoinPredicate::Compile(
-          *n->predicate, n->child(0).output_schema, n->child(1).output_schema);
-      if (compiled.ok()) {
-        ns->compiled_join.emplace(*std::move(compiled));
-      } else {
-        q->counters.kernel.compile_fallbacks.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // Near-data pushdown: a marked scan compiles its consuming restrict's
-  // predicate against the scan schema and reads through the buffer
-  // hierarchy's filtered path. plan_parent is the scan's direct plan
-  // consumer in both the plain and fused-absorbed wirings, so the shape
-  // check holds whenever the optimizer marked a restrict-over-scan. The
-  // restrict re-applies the same program to the survivors — compiled
-  // predicates are infallible per tuple, so re-filtering is idempotent.
-  if (n->op == PlanOp::kScan && n->pushdown &&
-      opts().pushdown == PushdownPolicy::kHonorPlan) {
-    if (plan_parent != nullptr && plan_parent->op == PlanOp::kRestrict &&
-        plan_parent->predicate != nullptr) {
-      auto compiled =
-          CompiledPredicate::Compile(*plan_parent->predicate, n->output_schema);
-      if (compiled.ok()) {
-        ns->pushdown_pred.emplace(*std::move(compiled));
-      } else {
-        q->counters.pushdown.fallbacks.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      q->counters.pushdown.fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  ns->compiled_pred = q->physical.predicate(*n);
+  ns->compiled_join = q->physical.join(*n);
+  ns->pushdown_pred = q->physical.pushdown(*n);
 
   // Op-specific static setup.
   Status setup = Status::OK();
@@ -1292,9 +1245,9 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   if (plan_parent != nullptr && n->op != PlanOp::kScan) {
     if (EdgeFused(*n, *plan_parent, q)) {
       direct = true;
-      q->counters.pipeline_fused_edges.fetch_add(1, std::memory_order_relaxed);
+      q->counters.pipeline.fused_edges.fetch_add(1, std::memory_order_relaxed);
     } else {
-      q->counters.pipeline_materialized_edges.fetch_add(
+      q->counters.pipeline.materialized_edges.fetch_add(
           1, std::memory_order_relaxed);
     }
   }
@@ -1349,7 +1302,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
             // Fused edge: the page is handed to the consumer live — the
             // PutNew/Fetch round trip (and its distribution/arbitration
             // traffic) is elided.
-            q->counters.pipeline_pages_elided.fetch_add(
+            q->counters.pipeline.pages_elided.fetch_add(
                 1, std::memory_order_relaxed);
             parent->OnPage(slot, PendingPage{std::move(page), PageId{}, true});
             return;
@@ -1366,7 +1319,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   // producers below it: those nodes get no NodeState — the chain compiles
   // into ns->fused and the chain's input wires directly to this node.
   const bool absorbs =
-      (n->op == PlanOp::kRestrict && ns->compiled_pred.has_value()) ||
+      (n->op == PlanOp::kRestrict && ns->compiled_pred != nullptr) ||
       (n->op == PlanOp::kProject && !n->dedup);
   for (int i = 0; i < n->num_children(); ++i) {
     const PlanNode* child = &n->child(i);
@@ -1383,7 +1336,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
       if (!chain.empty()) {
         Status fs = BuildFusedChain(ns, chain);
         if (fs.ok()) {
-          q->counters.pipeline_fused_edges.fetch_add(
+          q->counters.pipeline.fused_edges.fetch_add(
               chain.size(), std::memory_order_relaxed);
           BuildNode(cur, ns, i, q, /*plan_parent=*/chain.back());
           continue;
@@ -1393,7 +1346,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
         // direct rather than collapsed).
         ns->fused.reset();
         ns->fused_chain_len = 0;
-        q->counters.pipeline_runtime_fallbacks.fetch_add(
+        q->counters.pipeline.runtime_fallbacks.fetch_add(
             1, std::memory_order_relaxed);
       }
     }
@@ -1413,46 +1366,19 @@ void SchedulerImpl::LaunchQuery(QueryRuntime* q) {
   for (auto& node : q->nodes) {
     NodeState* ns = node.get();
     if (ns->node->op == PlanOp::kScan) {
-      std::shared_ptr<std::vector<PageId>> ids;
-      uint64_t view_commit_ts = 0;
-      bool allow_gridfile = false;
-      if (q->snapshot.valid()) {
-        // Snapshot mode: scan the immutable version this query's snapshot
-        // resolves to. The pages are sealed and committed, so no flush and
-        // no coordination with concurrent writers is needed.
-        auto view = q->snapshot.View(ns->node->relation);
-        if (!view.ok()) {
-          q->Fail(view.status().WithContext("snapshot view"));
-          std::lock_guard<std::mutex> lock(ns->mu);
-          ns->source_done = true;
-          continue;
-        }
-        view_commit_ts = view->commit_ts;
-        allow_gridfile = true;
-        ids = std::make_shared<std::vector<PageId>>(std::move(view->pages));
-      } else {
-        // Barrier mode: admission already excluded writers of this
-        // relation, so the live head is stable for the query's duration.
-        // Grid-file probes need a version timestamp to cache against, so
-        // only zone maps apply here.
-        auto file = storage_->GetHeapFile(ns->node->relation);
-        if (!file.ok()) {
-          q->Fail(file.status());
-          std::lock_guard<std::mutex> lock(ns->mu);
-          ns->source_done = true;
-          continue;
-        }
-        Status flushed = (*file)->Flush();
-        if (!flushed.ok()) q->Fail(flushed);
-        ids = std::make_shared<std::vector<PageId>>((*file)->PageIds());
+      // Scan the immutable version this query's snapshot resolves to. The
+      // pages are sealed and committed, so no flush and no coordination
+      // with concurrent writers is needed.
+      IndexPruneCounters pruned;
+      auto pages = ResolveScanPages(storage_, q->snapshot, *ns->node, &pruned);
+      q->counters.index.Add(pruned);
+      if (!pages.ok()) {
+        q->Fail(pages.status().WithContext("snapshot view"));
+        std::lock_guard<std::mutex> lock(ns->mu);
+        ns->source_done = true;
+        continue;
       }
-      if (opts().index == IndexPolicy::kHonorPlan &&
-          ns->node->access_path != ScanAccessPath::kFullScan) {
-        IndexPruneCounters local;
-        *ids = PruneScanPages(storage_, *ns->node, *ids, view_commit_ts,
-                              allow_gridfile, &local);
-        q->counters.index.Add(local);
-      }
+      auto ids = std::make_shared<std::vector<PageId>>(*std::move(pages));
       {
         std::lock_guard<std::mutex> lock(ns->mu);
         ++ns->pending;
@@ -1528,25 +1454,22 @@ StatusOr<QueryHandle> SchedulerImpl::Submit(const PlanNode& plan) {
     }
     runtimes_[qid] = std::move(owned);
     ++totals_.submitted;
-    if (snapshot_mode() && q->analysis.write_set.empty()) {
+    if (q->analysis.write_set.empty()) {
       // Read-only query: it executes against an immutable snapshot, so it
       // cannot conflict with anything. Admit around the MC queue entirely —
       // it never queues and never skips.
       q->bypassed_admission = true;
       admitted = true;
-    } else if (snapshot_mode()) {
+    } else {
       // Writer: its reads come from its snapshot, so the lock table only
       // arbitrates writer–writer conflicts.
       admitted = admission_.Submit(qid, /*read_set=*/{},
-                                   q->analysis.write_set);
-    } else {
-      admitted = admission_.Submit(qid, q->analysis.read_set,
                                    q->analysis.write_set);
     }
     if (admitted) {
       ++totals_.admitted_immediately;
       ++active_queries_;
-      if (snapshot_mode()) StampSnapshotLocked(q);
+      StampSnapshotLocked(q);
     } else {
       ++totals_.queued;
       q->was_queued = true;
@@ -1574,13 +1497,7 @@ void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   qs.overhead_bytes = q->counters.overhead_bytes.load();
   qs.pages_produced = q->counters.pages_produced.load();
   qs.tuples_produced = q->counters.tuples_produced.load();
-  qs.pipeline_fused_edges = q->counters.pipeline_fused_edges.load();
-  qs.pipeline_materialized_edges =
-      q->counters.pipeline_materialized_edges.load();
-  qs.pipeline_pages_elided = q->counters.pipeline_pages_elided.load();
-  qs.pipeline_fused_pages = q->counters.pipeline_fused_pages.load();
-  qs.pipeline_runtime_fallbacks =
-      q->counters.pipeline_runtime_fallbacks.load();
+  qs.pipeline = q->counters.pipeline.Snapshot();
   qs.kernel = q->counters.kernel.Snapshot();
   qs.index = q->counters.index.Snapshot();
   qs.pushdown = q->counters.pushdown.Snapshot();
@@ -1607,18 +1524,8 @@ void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   totals_.work.overhead_bytes += qs.overhead_bytes;
   totals_.work.pages_produced += qs.pages_produced;
   totals_.work.tuples_produced += qs.tuples_produced;
-  totals_.work.pipeline_fused_edges += qs.pipeline_fused_edges;
-  totals_.work.pipeline_materialized_edges += qs.pipeline_materialized_edges;
-  totals_.work.pipeline_pages_elided += qs.pipeline_pages_elided;
-  totals_.work.pipeline_fused_pages += qs.pipeline_fused_pages;
-  totals_.work.pipeline_runtime_fallbacks += qs.pipeline_runtime_fallbacks;
-  totals_.work.kernel.compiled_pages += qs.kernel.compiled_pages;
-  totals_.work.kernel.interpreted_pages += qs.kernel.interpreted_pages;
-  totals_.work.kernel.compile_fallbacks += qs.kernel.compile_fallbacks;
-  totals_.work.kernel.hash_joins += qs.kernel.hash_joins;
-  totals_.work.kernel.nested_joins += qs.kernel.nested_joins;
-  totals_.work.kernel.hash_build_collisions +=
-      qs.kernel.hash_build_collisions;
+  totals_.work.pipeline += qs.pipeline;
+  totals_.work.kernel += qs.kernel;
   totals_.work.index += qs.index;
   totals_.work.pushdown += qs.pushdown;
 
@@ -1650,14 +1557,14 @@ void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
     }
     q->intermediates.clear();
   }
-  // Snapshot mode, writer epilogue: a failed writer's uncommitted head
+  // Writer epilogue: a failed writer's uncommitted head
   // mutations are rolled back to the last committed version; a successful
   // writer's are committed (usually a no-op — the execution paths publish
   // through SyncStats — but it guarantees the next admission's snapshot
   // sees this writer's effects). Safe outside admit_mu_: this query still
   // owns its write relations in writing_relations_, so no concurrent
   // admission will commit or publish them meanwhile.
-  if (snapshot_mode() && !q->analysis.write_set.empty()) {
+  if (!q->analysis.write_set.empty()) {
     const bool failed = q->failed.load(std::memory_order_relaxed);
     for (const std::string& rel : q->analysis.write_set) {
       if (failed) {
@@ -1692,7 +1599,7 @@ void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
               now - cand->submitted_at)
               .count());
       ++active_queries_;
-      if (snapshot_mode()) StampSnapshotLocked(cand);
+      StampSnapshotLocked(cand);
       to_launch.push_back(cand);
     }
     --active_queries_;
@@ -1739,12 +1646,19 @@ void SchedulerImpl::WorkerLoop(int worker_index) {
   // Clamp so at least one worker survives to drain the queue.
   const int doomed_count =
       std::min(fp.abandon_workers, opts().num_processors - 1);
-  const bool doomed = worker_index < doomed_count;
-  uint64_t claimed = 0;
+  const uint64_t first_abandon = fp.abandon_after_tasks + 1;
+  const uint64_t last_abandon =
+      fp.abandon_after_tasks + static_cast<uint64_t>(std::max(0, doomed_count));
   for (;;) {
     auto task = queue_.Pop();
     if (!task.has_value()) return;
-    if (doomed && ++claimed > fp.abandon_after_tasks) {
+    // Abandonment is keyed to the pool-wide claim sequence, not to each
+    // worker's own count: whichever workers make the doomed claims abandon
+    // (one per claim; an abandoned worker makes no further claims), so the
+    // abandonment count does not depend on how the pool shares the work.
+    const uint64_t claim = claims_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const bool abandon = claim >= first_abandon && claim <= last_abandon;
+    if (abandon) {
       // Fail-stop at a packet boundary: the claimed task has not run, so
       // handing it back re-executes it from scratch on a survivor and the
       // results are exactly those of a healthy run.
@@ -1752,12 +1666,15 @@ void SchedulerImpl::WorkerLoop(int worker_index) {
       counters_.workers_abandoned.fetch_add(1, std::memory_order_relaxed);
       RecordTrace(obs::TraceEventKind::kFaultInjected, nullptr, -1,
                   worker_index, 0, "worker-abandon");
-      if (queue_.TryPush(std::move(*task))) {
+      if (queue_.TryPush(*task)) {
         counters_.redispatched_tasks.fetch_add(1, std::memory_order_relaxed);
         RecordTrace(obs::TraceEventKind::kFaultRecovered, nullptr, -1,
                     worker_index, 0, "task-redispatched");
+        return;
       }
-      return;
+      // The queue closed between the claim and the hand-back (every query
+      // finished meanwhile), so the survivors may already have exited: run
+      // the task here rather than lose it, then exit.
     }
     const int busy = busy_workers_.fetch_add(1, std::memory_order_relaxed) + 1;
     int peak = peak_busy_workers_.load(std::memory_order_relaxed);
@@ -1772,6 +1689,7 @@ void SchedulerImpl::WorkerLoop(int worker_index) {
         q->in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       MaybeReap(q);
     }
+    if (abandon) return;
   }
 }
 

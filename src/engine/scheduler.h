@@ -6,11 +6,14 @@
 /// users". The Scheduler realizes the MC role for the threads engine as a
 /// long-lived object: one persistent pool of worker threads (the IP pool),
 /// an admission queue in front of the ConflictManager's relation-level lock
-/// table, and Submit() callable from any thread. Queries whose read/write
-/// sets conflict with a running query wait in an MC queue and are
-/// re-admitted when a conflicting query completes — FIFO, with an
-/// anti-starvation rule so a stream of readers cannot park a writer forever
-/// (see AdmissionQueue in concurrency.h).
+/// table, and Submit() callable from any thread. Every query executes
+/// against an immutable MVCC Snapshot stamped at admission (timestamps
+/// derive from admission order, so deferred single-worker replay stays
+/// deterministic). Read-only queries are admitted immediately; a writer
+/// whose write set conflicts with a running writer waits in an MC queue and
+/// is re-admitted when the conflicting writer completes — FIFO, with an
+/// anti-starvation rule so a stream of later writers cannot park it
+/// forever (see AdmissionQueue in concurrency.h).
 ///
 /// Unlike Executor::Execute(), which historically built and tore down a
 /// whole worker pool per call, a Scheduler keeps its workers resident:
@@ -41,21 +44,6 @@ class SchedulerImpl;
 struct QueryState;
 }  // namespace internal
 
-/// \brief Concurrency-control regime of one scheduler.
-enum class ConcurrencyMode {
-  /// MVCC snapshot reads (the default): every query executes against an
-  /// immutable Snapshot stamped at admission, read-only queries are
-  /// admitted immediately (they never queue and never skip), and the
-  /// admission queue arbitrates writer–writer conflicts only. Snapshot
-  /// timestamps derive from admission order, not wall clock, so deferred
-  /// single-worker replay stays deterministic.
-  kSnapshot,
-  /// Legacy barrier mode: relation-granularity S/X admission — every
-  /// reader queues behind every writer of a shared relation. Kept for the
-  /// reader/writer bench comparison and as a semantics reference.
-  kBarrier,
-};
-
 /// \brief Configuration of one resident scheduler.
 struct SchedulerOptions {
   /// Engine knobs: pool size, granularity, buffer hierarchy, fault plan,
@@ -74,9 +62,6 @@ struct SchedulerOptions {
   /// the byte-identical trace-export tests (and the Executor compatibility
   /// wrappers) rely on.
   bool defer_worker_start = false;
-
-  /// Snapshot reads vs legacy barrier admission (see ConcurrencyMode).
-  ConcurrencyMode concurrency = ConcurrencyMode::kSnapshot;
 };
 
 /// \brief Future-like handle to one submitted query.

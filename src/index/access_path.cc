@@ -1,9 +1,12 @@
 #include "index/access_path.h"
 
 #include <cmath>
+#include <string>
 #include <unordered_set>
 
+#include "common/macros.h"
 #include "index/index_manager.h"
+#include "obs/metrics.h"
 
 namespace dfdb {
 namespace {
@@ -95,12 +98,21 @@ bool ZoneMapMayMatch(const ZoneMapEntry& entry, const Schema& schema,
   return true;
 }
 
-std::vector<PageId> PruneScanPages(StorageEngine* storage,
-                                   const PlanNode& scan,
-                                   const std::vector<PageId>& pages,
-                                   uint64_t view_commit_ts,
-                                   bool allow_gridfile,
-                                   IndexPruneCounters* stats) {
+void RegisterIndexMetrics(const IndexPruneCounters& counters,
+                          const char* prefix, obs::MetricsRegistry* registry) {
+  const std::string p(prefix);
+  registry->Set(p + "pages_pruned", counters.pages_pruned);
+  registry->Set(p + "zonemap_hits", counters.zonemap_hits);
+  registry->Set(p + "gridfile_probes", counters.gridfile_probes);
+  registry->Set(p + "fallback_scans", counters.fallback_scans);
+}
+
+StatusOr<std::vector<PageId>> ResolveScanPages(StorageEngine* storage,
+                                               const Snapshot& snapshot,
+                                               const PlanNode& scan,
+                                               IndexPruneCounters* stats) {
+  DFDB_ASSIGN_OR_RETURN(SnapshotView view, snapshot.View(scan.relation));
+  std::vector<PageId> pages = std::move(view.pages);
   if (scan.access_path == ScanAccessPath::kFullScan ||
       scan.prune_bounds.empty() || pages.empty()) {
     return pages;
@@ -109,25 +121,24 @@ std::vector<PageId> PruneScanPages(StorageEngine* storage,
   if (!file.ok()) return pages;  // Racing drop; the scan will fail anyway.
   const Schema& schema = (*file)->schema();
 
-  // Grid-file candidate set (page ids the probe says may match).
+  // Grid-file candidate set (page ids the probe says may match). The probe
+  // is cached against the view's commit timestamp.
   bool have_candidates = false;
   std::unordered_set<PageId> candidates;
   if (scan.access_path == ScanAccessPath::kGridFile) {
     bool probed = false;
-    if (allow_gridfile) {
-      auto meta = storage->catalog().GetIndex(scan.index_name);
-      if (meta.ok() && meta->relation == scan.relation) {
-        auto index = GetIndexManager(storage)->Resolve(*meta, view_commit_ts,
-                                                       pages);
-        if (index != nullptr) {
-          stats->gridfile_probes++;
-          auto result = index->Probe(scan.prune_bounds);
-          if (result.has_value()) {
-            candidates.insert(result->begin(), result->end());
-            have_candidates = true;
-          }
-          probed = true;
+    auto meta = storage->catalog().GetIndex(scan.index_name);
+    if (meta.ok() && meta->relation == scan.relation) {
+      auto index =
+          GetIndexManager(storage)->Resolve(*meta, view.commit_ts, pages);
+      if (index != nullptr) {
+        stats->gridfile_probes++;
+        auto result = index->Probe(scan.prune_bounds);
+        if (result.has_value()) {
+          candidates.insert(result->begin(), result->end());
+          have_candidates = true;
         }
+        probed = true;
       }
     }
     if (!probed || !have_candidates) stats->fallback_scans++;

@@ -5,8 +5,8 @@
 /// The optimizer marks a kScan with an access path and pre-resolved bounds
 /// (PlanNode::access_path / prune_bounds); at execution time the threads
 /// engine (scheduler scan drivers) and the ring simulator (IC operand
-/// staging) pass the scan's snapshot page list through PruneScanPages()
-/// before reading anything. Because both backends prune the *same marks*
+/// staging) resolve the scan's page list through ResolveScanPages() before
+/// reading anything. Because both backends prune the *same marks*
 /// against the *same snapshot view* with this one function, the surviving
 /// page sets are identical — results stay byte-identical to a full scan,
 /// only the page reads (and the simulator's ring transfers) shrink.
@@ -19,6 +19,7 @@
 #include "index/index_stats.h"
 #include "index/zone_map.h"
 #include "ra/plan.h"
+#include "storage/snapshot.h"
 #include "storage/storage_engine.h"
 
 namespace dfdb {
@@ -31,19 +32,16 @@ namespace dfdb {
 bool ZoneMapMayMatch(const ZoneMapEntry& entry, const Schema& schema,
                      const std::vector<ColCompare>& bounds);
 
-/// Prunes \p pages (the scan's snapshot page list, in view order) per the
-/// scan's marks. \p view_commit_ts is the commit timestamp the page list
-/// belongs to; \p allow_gridfile must be false when the caller reads a
-/// working head rather than a committed version (barrier mode), where only
-/// zone maps — keyed by immutable page id — are safe. Returns the
-/// surviving subset in the original order and accumulates counters into
-/// \p stats.
-std::vector<PageId> PruneScanPages(StorageEngine* storage,
-                                   const PlanNode& scan,
-                                   const std::vector<PageId>& pages,
-                                   uint64_t view_commit_ts,
-                                   bool allow_gridfile,
-                                   IndexPruneCounters* stats);
+/// Resolves a scan to the page ids it reads: \p snapshot's view of the
+/// scanned relation, in view order, pruned per the scan's access-path mark
+/// (zone maps, then a grid-file probe when marked kGridFile) with outcomes
+/// accumulated into \p stats. An unmarked scan (kFullScan) reads the whole
+/// view. The simulator also stages a kDelete's target through this call
+/// (deletes are never marked).
+StatusOr<std::vector<PageId>> ResolveScanPages(StorageEngine* storage,
+                                               const Snapshot& snapshot,
+                                               const PlanNode& scan,
+                                               IndexPruneCounters* stats);
 
 }  // namespace dfdb
 

@@ -1,11 +1,11 @@
 /// \file index_stats.h
 /// \brief Counters for the access-path layer (zone maps + grid files).
 ///
-/// Header-only and dependency-free so every layer that reports pruning —
+/// Dependency-free so every layer that reports pruning —
 /// the threads engine (per-query EngineCounters), the ring simulator
 /// (MachineReport), and the benches — can share one counter vocabulary.
 /// Published as `engine.index.*` / `machine.index.*` in the metrics
-/// registry.
+/// registry (RegisterIndexMetrics, defined in access_path.cc).
 
 #ifndef DFDB_INDEX_INDEX_STATS_H_
 #define DFDB_INDEX_INDEX_STATS_H_
@@ -14,6 +14,10 @@
 #include <cstdint>
 
 namespace dfdb {
+
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
 
 /// \brief Plain snapshot of the pruning counters (report/stats structs).
 struct IndexPruneCounters {
@@ -63,6 +67,11 @@ struct IndexPruneStats {
     return c;
   }
 };
+
+/// Registers every counter under \p prefix, e.g. `engine.index.` ->
+/// `engine.index.pages_pruned`, ...
+void RegisterIndexMetrics(const IndexPruneCounters& counters,
+                          const char* prefix, obs::MetricsRegistry* registry);
 
 }  // namespace dfdb
 

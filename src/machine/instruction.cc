@@ -1,7 +1,6 @@
 #include "machine/instruction.h"
 
 #include "common/macros.h"
-#include "ra/expr_compile.h"
 
 namespace dfdb {
 
@@ -21,29 +20,17 @@ bool IsBarrierOp(const PlanNode& n) {
   }
 }
 
-/// True if the fused edge below \p child can be folded into a consumer
-/// operand: a restrict directly over a base relation whose predicate the
-/// compiler accepts. The IC then filters during staging compaction and the
-/// restrict needs no instruction at all.
-bool Foldable(const PlanNode& child) {
-  if (child.op != PlanOp::kRestrict || child.predicate == nullptr) return false;
-  if (child.num_children() != 1 || child.child(0).op != PlanOp::kScan) {
-    return false;
-  }
-  return CompiledPredicate::Compile(*child.predicate,
-                                    child.child(0).output_schema)
-      .ok();
-}
-
 /// Compiles the subtree rooted at \p n; returns the producing instruction
 /// id. \p n must not be a scan.
 int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
-                PipelinePolicy pipeline, MachineProgram* prog) {
+                const PhysicalPlan& physical, MachineProgram* prog) {
   MachineInstruction instr;
   instr.query_id = query_id;
   instr.query_index = query_index;
   instr.op = n->op;
   instr.node = n;
+  instr.pred = physical.predicate(*n);
+  instr.join = physical.join(*n);
   instr.output_schema = n->output_schema;
   instr.barrier = IsBarrierOp(*n);
   for (int i = 0; i < n->num_children(); ++i) {
@@ -53,22 +40,29 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
     if (child.op == PlanOp::kScan) {
       operand.is_base = true;
       operand.base_relation = child.relation;
+      operand.scan = &child;
+      operand.pushdown = physical.pushdown(child);
     } else {
-      const bool wants_fuse =
-          pipeline == PipelinePolicy::kForceFuse ||
-          (pipeline == PipelinePolicy::kHonorPlan && child.pipeline_fused);
-      if (wants_fuse && Foldable(child)) {
+      // A marked edge from a compiled restrict directly over a base
+      // relation folds: the IC filters during staging compaction and the
+      // restrict needs no instruction at all.
+      if (child.pipeline_fused && child.op == PlanOp::kRestrict &&
+          child.child(0).op == PlanOp::kScan &&
+          physical.predicate(child) != nullptr) {
+        const PlanNode& scan = child.child(0);
         operand.is_base = true;
-        operand.base_relation = child.child(0).relation;
-        operand.filter = &child;
+        operand.base_relation = scan.relation;
+        operand.scan = &scan;
+        operand.filter = physical.predicate(child);
+        operand.pushdown = physical.pushdown(scan);
         prog->pipeline.fused_edges++;
         instr.operands.push_back(std::move(operand));
         continue;
       }
-      if (wants_fuse) prog->pipeline.fallbacks++;
+      if (child.pipeline_fused) prog->pipeline.runtime_fallbacks++;
       prog->pipeline.materialized_edges++;
       operand.producer =
-          CompileNode(&child, query_id, query_index, pipeline, prog);
+          CompileNode(&child, query_id, query_index, physical, prog);
       prog->instructions[static_cast<size_t>(operand.producer)].consumer_slot =
           i;
     }
@@ -79,6 +73,7 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
     MachineOperand operand;
     operand.is_base = true;
     operand.base_relation = n->relation;
+    operand.scan = n;
     operand.schema = n->output_schema;
     instr.operands.push_back(std::move(operand));
   }
@@ -100,8 +95,7 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
 }  // namespace
 
 StatusOr<MachineProgram> CompileProgram(
-    const Catalog& catalog, const std::vector<const PlanNode*>& queries,
-    PipelinePolicy pipeline) {
+    const Catalog& catalog, const std::vector<const PlanNode*>& queries) {
   MachineProgram prog;
   Analyzer analyzer(&catalog);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -117,8 +111,10 @@ StatusOr<MachineProgram> CompileProgram(
     DFDB_ASSIGN_OR_RETURN(QueryAnalysis analysis,
                           analyzer.Resolve(plan.get()));
     prog.analyses.push_back(std::move(analysis));
+    prog.physical.emplace_back(*plan);
     const uint64_t query_id = static_cast<uint64_t>(qi) + 1;
-    const int root = CompileNode(plan.get(), query_id, qi, pipeline, &prog);
+    const int root =
+        CompileNode(plan.get(), query_id, qi, prog.physical.back(), &prog);
     prog.roots.push_back(root);
     prog.plans.push_back(std::move(plan));
   }

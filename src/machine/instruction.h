@@ -17,8 +17,8 @@
 
 #include "catalog/catalog.h"
 #include "common/statusor.h"
-#include "engine/exec_options.h"
 #include "ra/analyzer.h"
+#include "ra/physical_plan.h"
 #include "ra/plan.h"
 
 namespace dfdb {
@@ -32,11 +32,19 @@ struct MachineOperand {
   int producer = -1;
   /// Operand tuple schema.
   Schema schema;
-  /// Pipeline fusion: a restrict folded into this operand. The IC applies
-  /// the predicate while compacting staged pages into machine units, so the
-  /// restrict never occupies an IP and its result pages never ride the ring.
-  /// Points into the program's plan clones; null = unfiltered operand.
-  const PlanNode* filter = nullptr;
+  /// Base operands: the plan scan staged (its access-path mark prunes the
+  /// pages). A kDelete's target operand points at the delete node itself,
+  /// which is never marked. Points into the program's plan clones.
+  const PlanNode* scan = nullptr;
+  /// Pipeline fusion: the program of a restrict folded into this operand.
+  /// The IC applies it while compacting staged pages into machine units, so
+  /// the restrict never occupies an IP and its result pages never ride the
+  /// ring. Null = unfiltered operand.
+  const CompiledPredicate* filter = nullptr;
+  /// Near-data pushdown: the program run at the disk-cache port during
+  /// staging, so only surviving tuples cross into IC memory. Null = raw
+  /// staging.
+  const CompiledPredicate* pushdown = nullptr;
 };
 
 /// \brief One relational-algebra instruction as the machine executes it.
@@ -49,6 +57,10 @@ struct MachineInstruction {
   /// The resolved plan node (predicates, columns, schemas). Owned by the
   /// program's plan clones.
   const PlanNode* node = nullptr;
+  /// Compiled predicate (kRestrict / kDelete) or join program (kJoin) from
+  /// the query's PhysicalPlan; null = interpret the node's Expr tree.
+  const CompiledPredicate* pred = nullptr;
+  const CompiledJoinPredicate* join = nullptr;
   std::vector<MachineOperand> operands;
   /// Consuming instruction (-1 = results go to the host via the MC).
   int consumer = -1;
@@ -62,24 +74,18 @@ struct MachineInstruction {
   bool barrier = false;
 };
 
-/// \brief Per-edge pipeline decisions taken at compile time
-/// (machine.pipeline.*).
-struct PipelineCompileStats {
-  uint64_t fused_edges = 0;         ///< Producers folded into an operand.
-  uint64_t materialized_edges = 0;  ///< Edges left as instructions.
-  /// Edges the plan marked fused but the compiler could not fold (producer
-  /// not a restrict-over-base, or the predicate refused compilation).
-  uint64_t fallbacks = 0;
-};
-
 /// \brief A compiled batch of queries.
 struct MachineProgram {
   std::vector<std::unique_ptr<PlanNode>> plans;  ///< Resolved clones (owned).
   std::vector<QueryAnalysis> analyses;           ///< Per query.
+  /// Per query: the compiled programs the instructions point into.
+  std::vector<PhysicalPlan> physical;
   std::vector<MachineInstruction> instructions;
   /// Root instruction id per query (results to host).
   std::vector<int> roots;
-  PipelineCompileStats pipeline;
+  /// Edge decisions taken at compile time (fused_edges,
+  /// materialized_edges, runtime_fallbacks).
+  PipelineCounters pipeline;
 };
 
 /// \brief Compiles \p queries (cloned and resolved against \p catalog).
@@ -87,13 +93,12 @@ struct MachineProgram {
 /// A bare-scan query is wrapped in an always-true restrict so that it is an
 /// instruction. Queries are numbered by position.
 ///
-/// \p pipeline controls per-edge fusion: a kRestrict producer over a base
-/// relation whose predicate compiles is folded into the consumer's operand
-/// (MachineOperand::filter) when the plan marks the edge (kHonorPlan) or
-/// unconditionally (kForceFuse); kForceMaterialize folds nothing.
+/// A marked edge (PlanNode::pipeline_fused) from a kRestrict producer over a
+/// base relation whose predicate compiled is folded into the consumer's
+/// operand (MachineOperand::filter); any other marked edge materializes and
+/// counts a runtime fallback.
 StatusOr<MachineProgram> CompileProgram(
-    const Catalog& catalog, const std::vector<const PlanNode*>& queries,
-    PipelinePolicy pipeline = PipelinePolicy::kHonorPlan);
+    const Catalog& catalog, const std::vector<const PlanNode*>& queries);
 
 }  // namespace dfdb
 

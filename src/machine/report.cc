@@ -1,6 +1,7 @@
 #include "machine/report.h"
 
 #include "common/string_util.h"
+#include "engine/engine_stats.h"
 #include "obs/metrics.h"
 
 namespace dfdb {
@@ -22,45 +23,7 @@ std::string MachineReport::ToString() const {
     out += " | ";
     out += faults.ToString();
   }
-  if (pipeline_fused_edges > 0 || pipeline_runtime_fallbacks > 0) {
-    out += StrFormat(
-        " | pipeline: fused=%llu materialized=%llu elided=%llu "
-        "fused_pages=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(pipeline_fused_edges),
-        static_cast<unsigned long long>(pipeline_materialized_edges),
-        static_cast<unsigned long long>(pipeline_pages_elided),
-        static_cast<unsigned long long>(pipeline_fused_pages),
-        static_cast<unsigned long long>(pipeline_runtime_fallbacks));
-  }
-  if (index.any()) {
-    out += StrFormat(
-        " | index: pruned=%llu zonemap=%llu probes=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(index.pages_pruned),
-        static_cast<unsigned long long>(index.zonemap_hits),
-        static_cast<unsigned long long>(index.gridfile_probes),
-        static_cast<unsigned long long>(index.fallback_scans));
-  }
-  if (pushdown.any()) {
-    out += StrFormat(
-        " | pushdown: pages=%llu in=%llu out=%llu elided=%s fallbacks=%llu",
-        static_cast<unsigned long long>(pushdown.pages_filtered),
-        static_cast<unsigned long long>(pushdown.tuples_in),
-        static_cast<unsigned long long>(pushdown.tuples_out),
-        HumanBytes(static_cast<int64_t>(pushdown.bytes_elided)).c_str(),
-        static_cast<unsigned long long>(pushdown.fallbacks));
-  }
-  if (kernel.compiled_pages > 0 || kernel.interpreted_pages > 0 ||
-      kernel.hash_joins > 0 || kernel.nested_joins > 0) {
-    out += StrFormat(
-        " | kernel: compiled=%llu interpreted=%llu fallbacks=%llu "
-        "hash_joins=%llu nested_joins=%llu collisions=%llu",
-        static_cast<unsigned long long>(kernel.compiled_pages),
-        static_cast<unsigned long long>(kernel.interpreted_pages),
-        static_cast<unsigned long long>(kernel.compile_fallbacks),
-        static_cast<unsigned long long>(kernel.hash_joins),
-        static_cast<unsigned long long>(kernel.nested_joins),
-        static_cast<unsigned long long>(kernel.hash_build_collisions));
-  }
+  out += PlanCountersToString(pipeline, index, pushdown, kernel);
   return out;
 }
 
@@ -107,26 +70,9 @@ obs::RunReport MachineReport::ToReport() const {
   report.counters.Set("machine.broadcasts", broadcasts);
   report.counters.Set("machine.direct_routes", direct_routes);
   report.counters.Set("machine.events", events);
-  report.counters.Set("machine.pipeline.fused_edges", pipeline_fused_edges);
-  report.counters.Set("machine.pipeline.materialized_edges",
-                      pipeline_materialized_edges);
-  report.counters.Set("machine.pipeline.pages_elided", pipeline_pages_elided);
-  report.counters.Set("machine.pipeline.fused_pages", pipeline_fused_pages);
-  report.counters.Set("machine.pipeline.runtime_fallbacks",
-                      pipeline_runtime_fallbacks);
-  report.counters.Set("machine.kernel.compiled_pages", kernel.compiled_pages);
-  report.counters.Set("machine.kernel.interpreted_pages",
-                      kernel.interpreted_pages);
-  report.counters.Set("machine.kernel.compile_fallbacks",
-                      kernel.compile_fallbacks);
-  report.counters.Set("machine.kernel.hash_joins", kernel.hash_joins);
-  report.counters.Set("machine.kernel.nested_joins", kernel.nested_joins);
-  report.counters.Set("machine.kernel.hash_build_collisions",
-                      kernel.hash_build_collisions);
-  report.counters.Set("machine.index.pages_pruned", index.pages_pruned);
-  report.counters.Set("machine.index.zonemap_hits", index.zonemap_hits);
-  report.counters.Set("machine.index.gridfile_probes", index.gridfile_probes);
-  report.counters.Set("machine.index.fallback_scans", index.fallback_scans);
+  RegisterPipelineMetrics(pipeline, "machine.pipeline.", &report.counters);
+  RegisterKernelMetrics(kernel, "machine.kernel.", &report.counters);
+  RegisterIndexMetrics(index, "machine.index.", &report.counters);
   RegisterPushdownMetrics(pushdown, "machine.pushdown.", &report.counters);
   report.counters.Set("machine.num_ips", static_cast<uint64_t>(num_ips));
   report.counters.Set("machine.makespan_ns",

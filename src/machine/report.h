@@ -16,6 +16,7 @@
 #include "machine/fault_injector.h"
 #include "obs/run_report.h"
 #include "operators/kernels.h"
+#include "ra/physical_plan.h"
 #include "storage/device_model.h"
 #include "storage/pushdown.h"
 
@@ -51,17 +52,6 @@ struct MachineOptions {
   /// Partition count for parallel project (also its maximum IP
   /// parallelism).
   int project_partitions = 8;
-  /// Per-edge pipeline-vs-materialize policy (see CompileProgram): folded
-  /// restricts filter at the IC during staging compaction instead of
-  /// occupying IPs as separate instructions.
-  PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
-  /// Per-scan access-path policy (honor zone-map / grid-file marks vs
-  /// force full staging).
-  IndexPolicy index = IndexPolicy::kHonorPlan;
-  /// Per-scan near-data pushdown policy: honor PlanNode::pushdown marks
-  /// (the compiled restrict runs during cache->IC staging, only survivors
-  /// cross the rings) vs force the raw staging path (ablation baseline).
-  PushdownPolicy pushdown = PushdownPolicy::kHonorPlan;
   /// Safety valve against runaway simulations.
   uint64_t max_events = 500000000;
   /// Deterministic fault schedule (empty = perfect hardware). With a
@@ -103,16 +93,12 @@ struct MachineReport {
   /// Injected faults and the recovery work they caused.
   FaultStats faults;
   /// Pipeline-fusion outcomes (machine.pipeline.*): edges folded at compile
-  /// time plus the staging-side filtering work they caused.
-  uint64_t pipeline_fused_edges = 0;
-  uint64_t pipeline_materialized_edges = 0;
-  /// Operand machine units delivered pre-filtered — units the folded
-  /// restrict would otherwise have produced, shipped, and repacked.
-  uint64_t pipeline_pages_elided = 0;
-  /// Raw pages filtered during staging compaction.
-  uint64_t pipeline_fused_pages = 0;
-  /// Marked edges the compiler could not fold.
-  uint64_t pipeline_runtime_fallbacks = 0;
+  /// time (marked edges the compiler could not fold are runtime
+  /// fallbacks), operand units delivered pre-filtered (pages_elided: units
+  /// the folded restrict would otherwise have produced, shipped, and
+  /// repacked), and raw pages filtered during staging compaction
+  /// (fused_pages).
+  PipelineCounters pipeline;
   /// Compiled-vs-interpreted kernel split at the IPs (machine.kernel.*).
   KernelStatsSnapshot kernel;
   /// Access-path pruning outcomes during IC staging (machine.index.*):

@@ -22,7 +22,6 @@
 #include "obs/trace.h"
 #include "operators/kernels.h"
 #include "operators/set_ops.h"
-#include "ra/expr_compile.h"
 #include "storage/tuple.h"
 
 namespace dfdb {
@@ -71,14 +70,6 @@ struct OperandRt {
   /// Compressor for repacking partial/mismatched pages into machine units.
   std::unique_ptr<Page> partial;
   uint64_t total_tuples = 0;
-  /// Lazy compilation of a folded restrict (MachineOperand::filter), done
-  /// at the first staged page like RunKernel's per-instruction cache.
-  bool filter_tried = false;
-  std::optional<CompiledPredicate> filter_pred;
-  /// Near-data pushdown (PlanNode::pushdown on the staged scan): the
-  /// compiled restrict runs at the disk-cache port during staging, so only
-  /// surviving tuples cross into IC memory. Compiled once in StartStaging.
-  std::optional<CompiledPredicate> pushdown_pred;
 };
 
 struct IpRt {
@@ -143,12 +134,6 @@ struct InstrRt {
   /// barrier IP dies mid-flush, and the empty-ips flush path).
   bool agg_finished = false;
 
-  /// Predicate compilation, done lazily at the first page this instruction
-  /// executes and cached for the rest of the run. A refusal (nullopt after
-  /// `compile_tried`) pins the instruction to the interpreted kernels.
-  bool compile_tried = false;
-  std::optional<CompiledPredicate> compiled_pred;
-  std::optional<CompiledJoinPredicate> compiled_join;
   JoinScratch join_scratch;
 
   // Barrier-operator state.
@@ -181,9 +166,12 @@ class Sim {
         injector_(options.fault_plan),
         trace_(options.enable_trace) {
     report_.num_ips = cfg_.num_instruction_processors;
-    report_.pipeline_fused_edges = prog_.pipeline.fused_edges;
-    report_.pipeline_materialized_edges = prog_.pipeline.materialized_edges;
-    report_.pipeline_runtime_fallbacks = prog_.pipeline.fallbacks;
+    report_.pipeline = prog_.pipeline;
+    for (const PhysicalPlan& physical : prog_.physical) {
+      kernel_stats_.compile_fallbacks.fetch_add(physical.compile_fallbacks(),
+                                                std::memory_order_relaxed);
+      report_.pushdown.fallbacks += physical.pushdown_fallbacks();
+    }
     live_ips_ = cfg_.num_instruction_processors;
     live_ics_ = cfg_.num_instruction_controllers;
     ic_alive_.assign(static_cast<size_t>(cfg_.num_instruction_controllers), 1);
@@ -606,91 +594,19 @@ void Sim::StartQuery(size_t qi) {
 void Sim::StartStaging(int instr_id, int slot) {
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
   const MachineOperand& mop = ir.def->operands[static_cast<size_t>(slot)];
-  const std::string& rel = mop.base_relation;
-  // The plan scan node this operand stages (carries the optimizer's
-  // access-path mark). A folded restrict points at it through the operand
-  // filter; otherwise the instruction's own child in this slot is the scan.
-  const PlanNode* scan = nullptr;
-  if (opt_.index == IndexPolicy::kHonorPlan) {
-    if (mop.filter != nullptr) {
-      if (mop.filter->num_children() == 1 &&
-          mop.filter->child(0).op == PlanOp::kScan) {
-        scan = &mop.filter->child(0);
-      }
-    } else if (ir.def->node != nullptr &&
-               slot < ir.def->node->num_children() &&
-               ir.def->node->child(slot).op == PlanOp::kScan) {
-      scan = &ir.def->node->child(slot);
-    }
-    if (scan != nullptr && scan->access_path == ScanAccessPath::kFullScan) {
-      scan = nullptr;
-    }
-  }
-  // Near-data pushdown: when the optimizer marked this scan pushable and
-  // the policy honors it, compile the consuming restrict's predicate
-  // against the scan schema. Staging then filters at the cache port —
-  // composing with the access-path marks above: pruning drops whole pages
-  // first, pushdown filters the residual pages' tuples.
-  if (opt_.pushdown == PushdownPolicy::kHonorPlan) {
-    const PlanNode* restrict_node = nullptr;
-    if (mop.filter != nullptr) {
-      if (mop.filter->num_children() == 1 &&
-          mop.filter->child(0).op == PlanOp::kScan &&
-          mop.filter->child(0).pushdown) {
-        restrict_node = mop.filter;
-      }
-    } else if (ir.def->node != nullptr &&
-               ir.def->node->op == PlanOp::kRestrict &&
-               ir.def->node->predicate != nullptr &&
-               slot < ir.def->node->num_children() &&
-               ir.def->node->child(slot).op == PlanOp::kScan &&
-               ir.def->node->child(slot).pushdown) {
-      restrict_node = ir.def->node;
-    }
-    if (restrict_node != nullptr) {
-      auto compiled =
-          CompiledPredicate::Compile(*restrict_node->predicate, mop.schema);
-      if (compiled.ok()) {
-        ir.operands[static_cast<size_t>(slot)].pushdown_pred.emplace(
-            *std::move(compiled));
-      } else {
-        report_.pushdown.fallbacks++;
-      }
-    }
-  }
-  const Snapshot& snap = query_snapshots_[ir.def->query_index];
-  if (snap.valid()) {
-    auto view = snap.View(rel);
-    if (!view.ok()) {
-      Fail(view.status().WithContext("staging snapshot view " + rel));
-      CompleteOperand(instr_id, slot);
-      return;
-    }
-    const uint64_t commit_ts = view->commit_ts;
-    auto ids = std::make_shared<std::vector<PageId>>(std::move(view->pages));
-    if (scan != nullptr) {
-      *ids = PruneScanPages(storage_, *scan, *ids, commit_ts,
-                            /*allow_gridfile=*/true, &report_.index);
-    }
-    StageNextRawPage(instr_id, slot, ids, 0);
-    return;
-  }
-  // Fallback (no snapshot stamped): read the live head. Grid-file probes
-  // need a version timestamp to cache against, so only zone maps apply.
-  auto file = storage_->GetHeapFile(rel);
-  if (!file.ok()) {
-    Fail(file.status().WithContext("staging " + rel));
+  // The query's snapshot view of the relation, pruned per the scan's
+  // access-path mark; pushdown (mop.pushdown) then filters the residual
+  // pages' tuples at the cache port.
+  auto pages = ResolveScanPages(storage_, query_snapshots_[ir.def->query_index],
+                                *mop.scan, &report_.index);
+  if (!pages.ok()) {
+    Fail(pages.status().WithContext("staging snapshot view " +
+                                    mop.base_relation));
     CompleteOperand(instr_id, slot);
     return;
   }
-  Status flushed = (*file)->Flush();
-  if (!flushed.ok()) Fail(flushed);
-  auto ids = std::make_shared<std::vector<PageId>>((*file)->PageIds());
-  if (scan != nullptr) {
-    *ids = PruneScanPages(storage_, *scan, *ids, /*view_commit_ts=*/0,
-                          /*allow_gridfile=*/false, &report_.index);
-  }
-  StageNextRawPage(instr_id, slot, ids, 0);
+  StageNextRawPage(instr_id, slot,
+                   std::make_shared<std::vector<PageId>>(*std::move(pages)), 0);
 }
 
 void Sim::StageNextRawPage(int instr_id, int slot,
@@ -715,12 +631,11 @@ void Sim::StageNextRawPage(int instr_id, int slot,
   // memory, so the transfer (and everything downstream — repacked units,
   // ring packets) is charged for surviving bytes only.
   InstrRt& ir = instrs_[static_cast<size_t>(instr_id)];
-  OperandRt& op = ir.operands[static_cast<size_t>(slot)];
-  const bool pushed = op.pushdown_pred.has_value();
+  const MachineOperand& mop = ir.def->operands[static_cast<size_t>(slot)];
+  const bool pushed = mop.pushdown != nullptr;
   int64_t transfer = bytes;
   if (pushed) {
-    const Schema& schema =
-        ir.def->operands[static_cast<size_t>(slot)].schema;
+    const Schema& schema = mop.schema;
     const int width = std::max(1, schema.tuple_width());
     auto survivors =
         Page::Create(0, width, std::max(static_cast<int>(bytes), width));
@@ -731,7 +646,7 @@ void Sim::StageNextRawPage(int instr_id, int slot,
     }
     const int in = page->num_tuples();
     for (int i = 0; i < in; ++i) {
-      if (!op.pushdown_pred->Matches(page->tuple(i).data(), nullptr)) continue;
+      if (!mop.pushdown->Matches(page->tuple(i).data(), nullptr)) continue;
       Status s = survivors->Append(page->tuple(i));
       if (!s.ok()) {
         Fail(s.WithContext("pushdown staging"));
@@ -759,8 +674,7 @@ void Sim::StageNextRawPage(int instr_id, int slot,
     // charged on the first page of a run and every 10th page thereafter
     // (cylinder crossings); intermediate pages stream sequentially. Drives
     // have no filter logic, so the full page always crosses disk -> cache.
-    const std::string& rel =
-        ir.def->operands[static_cast<size_t>(slot)].base_relation;
+    const std::string& rel = mop.base_relation;
     SerialResource& drive =
         drives_[Hash64(rel.data(), rel.size()) % drives_.size()];
     const bool position = (idx % 10) == 0;
@@ -791,28 +705,11 @@ void Sim::RepackInto(int instr_id, int slot, const Page& raw) {
   // into machine units: the consumer sees the same filtered operand stream
   // it would get from a restrict instruction, minus that instruction's IP
   // occupancy and ring crossings.
-  if (mop.filter != nullptr) {
-    if (!op.filter_tried) {
-      op.filter_tried = true;
-      auto compiled =
-          CompiledPredicate::Compile(*mop.filter->predicate, schema);
-      if (compiled.ok()) op.filter_pred.emplace(*std::move(compiled));
-    }
-    report_.pipeline_fused_pages++;
-  }
+  if (mop.filter != nullptr) report_.pipeline.fused_pages++;
   for (int i = 0; i < raw.num_tuples(); ++i) {
-    if (mop.filter != nullptr) {
-      if (op.filter_pred.has_value()) {
-        if (!op.filter_pred->Matches(raw.tuple(i).data(), nullptr)) continue;
-      } else {
-        TupleView view(&schema, raw.tuple(i));
-        auto keep = mop.filter->predicate->EvalBool(view, nullptr);
-        if (!keep.ok()) {
-          Fail(keep.status());
-          return;
-        }
-        if (!*keep) continue;
-      }
+    if (mop.filter != nullptr &&
+        !mop.filter->Matches(raw.tuple(i).data(), nullptr)) {
+      continue;
     }
     if (op.partial == nullptr) {
       auto page = Page::Create(0, schema.tuple_width(), unit);
@@ -853,7 +750,7 @@ void Sim::DeliverOperandPage(int instr_id, int slot, StagedPage staged) {
   if (ir.def->operands[static_cast<size_t>(slot)].filter != nullptr) {
     // This unit arrived pre-filtered: the folded restrict would have built,
     // shipped, and repacked an equivalent intermediate page.
-    report_.pipeline_pages_elided++;
+    report_.pipeline.pages_elided++;
   }
   InsertLocal(&ics_[static_cast<size_t>(ir.ic)], staged.uid,
               staged.page->payload_bytes());
@@ -1765,8 +1662,7 @@ void Sim::FinishInstr(int instr_id) {
     auto file = storage_->GetHeapFile(ir.def->node->relation);
     if (file.ok()) {
       const Expr* pred = ir.def->node->predicate.get();
-      const CompiledPredicate* compiled =
-          ir.compiled_pred.has_value() ? &*ir.compiled_pred : nullptr;
+      const CompiledPredicate* compiled = ir.def->pred;
       auto removed =
           (*file)->DeleteWhere([pred, compiled](const TupleView& t) {
             if (compiled != nullptr) {
@@ -2209,19 +2105,8 @@ StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
   Status s = Status::OK();
   switch (def.op) {
     case PlanOp::kRestrict:
-      if (!ir->compile_tried) {
-        ir->compile_tried = true;
-        auto compiled =
-            CompiledPredicate::Compile(*def.node->predicate, in_schema);
-        if (compiled.ok()) {
-          ir->compiled_pred.emplace(*std::move(compiled));
-        } else {
-          kernel_stats_.compile_fallbacks.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        }
-      }
-      if (ir->compiled_pred.has_value()) {
-        s = RestrictPage(*ir->compiled_pred, in, &sink, &kernel_stats_);
+      if (def.pred != nullptr) {
+        s = RestrictPage(*def.pred, in, &sink, &kernel_stats_);
       } else {
         kernel_stats_.interpreted_pages.fetch_add(1, std::memory_order_relaxed);
         s = RestrictPage(in_schema, *def.node->predicate, in, &sink);
@@ -2269,20 +2154,8 @@ StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
       break;
     }
     case PlanOp::kJoin:
-      if (!ir->compile_tried) {
-        ir->compile_tried = true;
-        auto compiled = CompiledJoinPredicate::Compile(
-            *def.node->predicate, def.operands[0].schema,
-            def.operands[1].schema);
-        if (compiled.ok()) {
-          ir->compiled_join.emplace(*std::move(compiled));
-        } else {
-          kernel_stats_.compile_fallbacks.fetch_add(1,
-                                                    std::memory_order_relaxed);
-        }
-      }
-      if (ir->compiled_join.has_value()) {
-        s = JoinPages(*ir->compiled_join, in, *inner, &ir->join_scratch, &sink,
+      if (def.join != nullptr) {
+        s = JoinPages(*def.join, in, *inner, &ir->join_scratch, &sink,
                       &kernel_stats_);
       } else {
         kernel_stats_.interpreted_pages.fetch_add(1, std::memory_order_relaxed);
@@ -2322,15 +2195,8 @@ StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
       break;
     }
     case PlanOp::kDelete: {
-      if (!ir->compile_tried) {
-        ir->compile_tried = true;
-        auto compiled =
-            CompiledPredicate::Compile(*def.node->predicate, in_schema);
-        if (compiled.ok()) ir->compiled_pred.emplace(*std::move(compiled));
-      }
-      if (ir->compiled_pred.has_value()) {
-        ir->delete_matches += CountMatches(*ir->compiled_pred, in,
-                                           &kernel_stats_);
+      if (def.pred != nullptr) {
+        ir->delete_matches += CountMatches(*def.pred, in, &kernel_stats_);
       } else {
         auto matched =
             CountMatches(in_schema, *def.node->predicate, in, &kernel_stats_);
@@ -2396,8 +2262,7 @@ MachineSimulator::MachineSimulator(StorageEngine* storage,
 StatusOr<MachineReport> MachineSimulator::Run(
     const std::vector<const PlanNode*>& queries) {
   DFDB_ASSIGN_OR_RETURN(MachineProgram program,
-                        CompileProgram(storage_->catalog(), queries,
-                                       options_.pipeline));
+                        CompileProgram(storage_->catalog(), queries));
   Sim sim(storage_, options_, std::move(program), queries.size());
   DFDB_RETURN_IF_ERROR(sim.Run());
   return sim.TakeReport();

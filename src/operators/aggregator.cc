@@ -1,8 +1,109 @@
 #include "operators/aggregator.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/macros.h"
 
 namespace dfdb {
+
+void Aggregator::ExactSum::Add(double d) {
+  if (std::isnan(d)) {
+    nan_ = true;
+    return;
+  }
+  if (std::isinf(d)) {
+    (d > 0 ? pos_inf_ : neg_inf_) = true;
+    return;
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  const bool negative = (bits >> 63) != 0;
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  uint64_t mant = bits & ((uint64_t{1} << 52) - 1);
+  // |d| = mant * 2^(shift - 1074): subnormals have shift 0, normals carry
+  // the implicit bit.
+  int shift = 0;
+  if (biased != 0) {
+    mant |= uint64_t{1} << 52;
+    shift = biased - 1;
+  }
+  if (mant == 0) return;
+  const int limb = shift / 64;
+  const int off = shift % 64;
+  // The 53-bit mantissa spans at most two limbs; carries ripple upward.
+  uint64_t parts[2] = {mant << off, off == 0 ? 0 : mant >> (64 - off)};
+  uint64_t carry = 0;
+  for (int i = limb; i < kLimbs; ++i) {
+    const uint64_t part = i - limb < 2 ? parts[i - limb] : 0;
+    if (i - limb >= 2 && carry == 0) break;
+    const uint64_t before = limbs_[i];
+    if (!negative) {
+      const uint64_t sum = before + part;
+      const uint64_t out = sum + carry;
+      carry = (sum < before || out < sum) ? 1 : 0;
+      limbs_[i] = out;
+    } else {
+      const uint64_t diff = before - part;
+      const uint64_t out = diff - carry;
+      carry = (before < part || diff < carry) ? 1 : 0;
+      limbs_[i] = out;
+    }
+  }
+}
+
+double Aggregator::ExactSum::Read() const {
+  if (nan_ || (pos_inf_ && neg_inf_)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  if (pos_inf_) return std::numeric_limits<double>::infinity();
+  if (neg_inf_) return -std::numeric_limits<double>::infinity();
+  uint64_t mag[kLimbs];
+  std::memcpy(mag, limbs_, sizeof(mag));
+  const bool negative = (mag[kLimbs - 1] >> 63) != 0;
+  if (negative) {  // Two's-complement negate: invert, add one.
+    uint64_t carry = 1;
+    for (int i = 0; i < kLimbs; ++i) {
+      mag[i] = ~mag[i] + carry;
+      carry = (carry != 0 && mag[i] == 0) ? 1 : 0;
+    }
+  }
+  int top = kLimbs - 1;
+  while (top >= 0 && mag[top] == 0) --top;
+  if (top < 0) return 0.0;
+  // Highest set bit, in units of 2^-1074.
+  const int p = top * 64 + 63 - __builtin_clzll(mag[top]);
+  double result;
+  if (p < 53) {
+    // Fits the significand as is: exact (normal or subnormal).
+    result = std::ldexp(static_cast<double>(mag[0]), -1074);
+  } else {
+    // The 64 bits ending at p, plus a sticky bit for everything below.
+    const int lo = p - 63;
+    uint64_t window;
+    bool sticky = false;
+    if (lo < 0) {
+      window = mag[0] << (-lo);
+    } else {
+      const int limb = lo / 64;
+      const int off = lo % 64;
+      window = mag[limb] >> off;
+      if (off != 0) window |= mag[limb + 1] << (64 - off);
+      sticky = off != 0 && (mag[limb] & ((uint64_t{1} << off) - 1)) != 0;
+      for (int i = 0; i < limb && !sticky; ++i) sticky = mag[i] != 0;
+    }
+    // Round the 64-bit window to 53 bits, to nearest, ties to even.
+    uint64_t mant = window >> 11;
+    const uint64_t rest = window & 0x7ff;
+    constexpr uint64_t kHalf = 0x400;
+    if (rest > kHalf || (rest == kHalf && (sticky || (mant & 1) != 0))) {
+      ++mant;
+    }
+    result = std::ldexp(static_cast<double>(mant), p - 52 - 1074);
+  }
+  return negative ? -result : result;
+}
 
 StatusOr<Aggregator> Aggregator::Create(const Schema& input_schema,
                                         const Schema& output_schema,
@@ -57,10 +158,17 @@ Status Aggregator::Consume(const Page& page) {
           break;
         case AggregateSpec::Func::kSum:
         case AggregateSpec::Func::kAvg: {
-          DFDB_ASSIGN_OR_RETURN(double d, v.AsNumeric());
-          agg.sum_double += d;
-          if (v.type() == ColumnType::kInt32) agg.sum_int += v.as_int32();
-          if (v.type() == ColumnType::kInt64) agg.sum_int += v.as_int64();
+          if (v.type() == ColumnType::kInt32) {
+            agg.sum_int += v.as_int32();
+          } else if (v.type() == ColumnType::kInt64) {
+            agg.sum_int += v.as_int64();
+          } else {
+            DFDB_ASSIGN_OR_RETURN(double d, v.AsNumeric());
+            if (agg.sum_double == nullptr) {
+              agg.sum_double = std::make_unique<ExactSum>();
+            }
+            agg.sum_double->Add(d);
+          }
           break;
         }
         case AggregateSpec::Func::kMin: {
@@ -87,6 +195,11 @@ Status Aggregator::Consume(const Page& page) {
   return Status::OK();
 }
 
+double Aggregator::SumAsDouble(const AggState& agg) {
+  return agg.sum_double != nullptr ? agg.sum_double->Read()
+                                   : static_cast<double>(agg.sum_int);
+}
+
 Status Aggregator::Finish(PageSink* out) {
   for (auto& [key, state] : groups_) {
     std::vector<Value> row = state.group_values;
@@ -102,13 +215,13 @@ Status Aggregator::Finish(PageSink* out) {
           if (out_type == ColumnType::kInt64) {
             row.push_back(Value::Int64(agg.sum_int));
           } else {
-            row.push_back(Value::Double(agg.sum_double));
+            row.push_back(Value::Double(SumAsDouble(agg)));
           }
           break;
         case AggregateSpec::Func::kAvg:
           row.push_back(Value::Double(
               agg.count == 0 ? 0.0
-                             : agg.sum_double / static_cast<double>(agg.count)));
+                             : SumAsDouble(agg) / static_cast<double>(agg.count)));
           break;
         case AggregateSpec::Func::kMin:
           if (!agg.min.has_value()) {

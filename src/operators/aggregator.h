@@ -4,7 +4,9 @@
 #ifndef DFDB_OPERATORS_AGGREGATOR_H_
 #define DFDB_OPERATORS_AGGREGATOR_H_
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,9 +40,32 @@ class Aggregator {
   size_t num_groups() const { return groups_.size(); }
 
  private:
+  /// Exact, order-independent sum of doubles: a two's-complement fixed-point
+  /// integer whose unit is 2^-1074 (the smallest subnormal) and whose width
+  /// covers every finite double plus 64 bits of carry headroom, so adding is
+  /// exact and commutative. Read() rounds once, to nearest with ties to even.
+  /// Non-finite inputs follow IEEE addition: any NaN, or +inf with -inf,
+  /// reads NaN; otherwise an infinity reads as itself.
+  class ExactSum {
+   public:
+    void Add(double d);
+    double Read() const;
+
+   private:
+    static constexpr int kLimbs = 34;  // 2176 bits >= 2098 + 64 + sign.
+    uint64_t limbs_[kLimbs] = {};      // Little-endian limbs.
+    bool nan_ = false;
+    bool pos_inf_ = false;
+    bool neg_inf_ = false;
+  };
+
   struct AggState {
     int64_t count = 0;
-    double sum_double = 0;
+    /// SUM/AVG over DOUBLE only (null for every other aggregate): the sum
+    /// must not depend on page arrival order, which differs between the
+    /// engine's workers, the simulator's IPs, the reference executor and
+    /// distributed fragments.
+    std::unique_ptr<ExactSum> sum_double;
     int64_t sum_int = 0;
     std::optional<Value> min;
     std::optional<Value> max;
@@ -49,6 +74,10 @@ class Aggregator {
     std::vector<Value> group_values;
     std::vector<AggState> aggs;
   };
+
+  /// SUM/AVG numerator: the exact double sum rounded once, or the integer
+  /// sum for integer columns.
+  static double SumAsDouble(const AggState& agg);
 
   Aggregator(Schema input_schema, Schema output_schema,
              std::vector<int> group_indices, std::vector<AggregateSpec> specs,

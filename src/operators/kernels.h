@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "obs/metrics.h"
 #include "operators/page_sink.h"
 #include "ra/expr.h"
 #include "ra/expr_compile.h"
@@ -37,7 +38,22 @@ struct KernelStatsSnapshot {
   uint64_t hash_joins = 0;
   uint64_t nested_joins = 0;
   uint64_t hash_build_collisions = 0;
+
+  KernelStatsSnapshot& operator+=(const KernelStatsSnapshot& o) {
+    compiled_pages += o.compiled_pages;
+    interpreted_pages += o.interpreted_pages;
+    compile_fallbacks += o.compile_fallbacks;
+    hash_joins += o.hash_joins;
+    nested_joins += o.nested_joins;
+    hash_build_collisions += o.hash_build_collisions;
+    return *this;
+  }
 };
+
+/// Registers every counter under \p prefix, e.g. `engine.kernel.` ->
+/// `engine.kernel.compiled_pages`, ...
+void RegisterKernelMetrics(const KernelStatsSnapshot& counters,
+                           const char* prefix, obs::MetricsRegistry* registry);
 
 /// \brief Counters for the compiled-vs-interpreted kernel split, updated
 /// with relaxed atomics from concurrent workers. Engines embed one and

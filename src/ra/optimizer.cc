@@ -412,6 +412,28 @@ bool PipelineEdgeSafe(const PlanNode& producer, const PlanNode& consumer) {
   return ClassifyEdgeSafety(producer, consumer) == FuseVeto::kNone;
 }
 
+void ApplyPlanPolicy(PlanNode* root, const PlanPolicy& policy) {
+  for (auto& child : root->children) {
+    ApplyPlanPolicy(child.get(), policy);
+    switch (policy.pipeline) {
+      case PipelinePolicy::kHonorPlan:
+        break;
+      case PipelinePolicy::kForceMaterialize:
+        child->pipeline_fused = false;
+        break;
+      case PipelinePolicy::kForceFuse:
+        child->pipeline_fused = PipelineEdgeSafe(*child, *root);
+        break;
+    }
+  }
+  if (root->op == PlanOp::kScan) {
+    if (policy.index == IndexPolicy::kForceFullScan) {
+      root->access_path = ScanAccessPath::kFullScan;
+    }
+    if (policy.pushdown == PushdownPolicy::kForceOff) root->pushdown = false;
+  }
+}
+
 void Optimizer::DecidePipelining(PlanNode* root,
                                  OptimizerReport* report) const {
   for (auto& child : root->children) {

@@ -132,8 +132,9 @@ class Optimizer {
   const Catalog* catalog_;
 };
 
-/// \brief Safety-only half of the per-edge decision, shared with the
-/// backends' PipelinePolicy::kForceFuse path (stats are not consulted).
+/// \brief Safety-only half of the per-edge decision, shared with
+/// ApplyPlanPolicy's kForceFuse rewrite and the engine's re-check of
+/// hand-marked plans (stats are not consulted).
 ///
 /// True when streaming \p producer's output straight into \p consumer
 /// provably preserves results: the producer is a restrict whose predicate
@@ -143,6 +144,53 @@ class Optimizer {
 /// unions, differences, writes, interpreted predicates — materializes, the
 /// conservative fallback.
 bool PipelineEdgeSafe(const PlanNode& producer, const PlanNode& consumer);
+
+/// \brief How the optimizer's per-edge pipeline marks
+/// (PlanNode::pipeline_fused; see DESIGN.md "Pipeline fusion") are rewritten.
+enum class PipelinePolicy {
+  /// Keep the marks DecidePipelining chose (default).
+  kHonorPlan,
+  /// Clear every mark: materialize every edge — the pre-fusion behaviour,
+  /// and the differential-testing baseline.
+  kForceMaterialize,
+  /// Mark every edge that passes PipelineEdgeSafe, clear the rest. Stats
+  /// vetoes are ignored; safety is still enforced.
+  kForceFuse,
+};
+
+/// \brief How the per-scan access-path marks (PlanNode::access_path; see
+/// DESIGN.md "Indexing & page pruning") are rewritten.
+enum class IndexPolicy {
+  /// Keep the zone-map / grid-file marks (default).
+  kHonorPlan,
+  /// Mark every scan kFullScan — the pre-index behaviour, and the
+  /// differential-testing baseline.
+  kForceFullScan,
+};
+
+/// \brief How the per-scan pushdown marks (PlanNode::pushdown; see
+/// DESIGN.md "Near-data pushdown") are rewritten.
+enum class PushdownPolicy {
+  /// Keep the marks (default).
+  kHonorPlan,
+  /// Clear every mark: ship raw pages and filter at the processors — the
+  /// pre-pushdown behaviour, and the differential-testing baseline.
+  kForceOff,
+};
+
+/// \brief One ablation setting for all three families of plan marks.
+struct PlanPolicy {
+  PipelinePolicy pipeline = PipelinePolicy::kHonorPlan;
+  IndexPolicy index = IndexPolicy::kHonorPlan;
+  PushdownPolicy pushdown = PushdownPolicy::kHonorPlan;
+};
+
+/// Rewrites the marks of \p root's tree per \p policy. Both backends
+/// execute exactly the marks they are given, so a policy is applied to the
+/// plan before it is submitted (tests and ablation benches do this; the
+/// default policy is a no-op). kForceFuse consults PipelineEdgeSafe, which
+/// needs a *resolved* tree; the other rewrites work on any tree.
+void ApplyPlanPolicy(PlanNode* root, const PlanPolicy& policy);
 
 /// \brief One hash-partitionable equality conjunct `left.col = right.col`
 /// of a join predicate.

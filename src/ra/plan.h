@@ -23,8 +23,8 @@ namespace dfdb {
 /// How a kScan leaf reads its relation. Chosen by
 /// Optimizer::DecideAccessPaths from the consuming restrict's compiled
 /// bounds and the catalog's index definitions; kFullScan is always safe and
-/// ExecOptions::index / MachineOptions::index can force it at execution
-/// time.
+/// ApplyPlanPolicy (IndexPolicy::kForceFullScan) can force it before
+/// execution.
 enum class ScanAccessPath {
   kFullScan,  ///< Read every page of the snapshot view.
   kZoneMap,   ///< Skip pages whose zone map cannot contain a match.
@@ -97,8 +97,8 @@ struct PlanNode {
   /// round trip (and collapses unary chains into one fused program), the
   /// simulator folds the operator into the consumer's operand staging.
   /// Set by Optimizer::DecidePipelining; false (materialize) is always
-  /// safe, and ExecOptions::pipeline / MachineOptions::pipeline can
-  /// override the marks at execution time.
+  /// safe, and ApplyPlanPolicy (PipelinePolicy) can rewrite the marks
+  /// before execution.
   bool pipeline_fused = false;
 
   /// kScan only: optimizer access-path decision plus the pre-resolved
@@ -117,9 +117,8 @@ struct PlanNode {
   /// staging in the simulator) so only surviving tuples cross buffer
   /// levels and rings. Composes with access_path: pruning drops whole
   /// pages first, pushdown filters the residual pages. Set by
-  /// Optimizer::DecidePushdown; false is always safe, and
-  /// ExecOptions::pushdown / MachineOptions::pushdown can force it off at
-  /// execution time.
+  /// Optimizer::DecidePushdown; false is always safe, and ApplyPlanPolicy
+  /// (PushdownPolicy::kForceOff) can clear it before execution.
   bool pushdown = false;
 
   /// Filled by the analyzer.

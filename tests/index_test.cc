@@ -28,6 +28,7 @@ namespace {
 
 using ::dfdb::testing::ExpectSameResult;
 using ::dfdb::testing::ResultMultiset;
+using ::dfdb::testing::WithPolicy;
 using ::dfdb::expr_detail::EvalColCompare;
 
 // ---------------------------------------------------------------------------
@@ -315,17 +316,17 @@ TEST_F(PruningDifferentialTest, EngineMatchesFullScan) {
   Random rng(123);
   ExecOptions honor;
   honor.page_bytes = 2000;
-  ExecOptions full = honor;
-  full.index = IndexPolicy::kForceFullScan;
 
   uint64_t total_pruned = 0;
   for (int trial = 0; trial < 30; ++trial) {
     auto plan = RandomQuery(&rng);
     ASSERT_OK_AND_ASSIGN(PlanNodePtr opt, optimizer.Optimize(*plan, nullptr));
+    PlanNodePtr full = WithPolicy(storage_->catalog(), *opt,
+                                  {.index = IndexPolicy::kForceFullScan});
     ASSERT_OK_AND_ASSIGN(QueryResult pruned,
                          RunQuery(storage_.get(), *opt, honor));
     ASSERT_OK_AND_ASSIGN(QueryResult baseline,
-                         RunQuery(storage_.get(), *opt, full));
+                         RunQuery(storage_.get(), *full, honor));
     ExpectSameResult(baseline, pruned);
     total_pruned += pruned.stats().index.pages_pruned;
     EXPECT_EQ(baseline.stats().index.pages_pruned, 0u);
@@ -337,8 +338,6 @@ TEST_F(PruningDifferentialTest, MachineMatchesFullScanAndEngine) {
   Optimizer optimizer(&storage_->catalog());
   Random rng(321);
   MachineOptions honor;
-  MachineOptions full;
-  full.index = IndexPolicy::kForceFullScan;
   ExecOptions engine_opts;
   engine_opts.page_bytes = 2000;
 
@@ -348,8 +347,10 @@ TEST_F(PruningDifferentialTest, MachineMatchesFullScanAndEngine) {
     ASSERT_OK_AND_ASSIGN(PlanNodePtr opt, optimizer.Optimize(*plan, nullptr));
     MachineSimulator sim_honor(storage_.get(), honor);
     ASSERT_OK_AND_ASSIGN(MachineReport pruned, sim_honor.Run({opt.get()}));
-    MachineSimulator sim_full(storage_.get(), full);
-    ASSERT_OK_AND_ASSIGN(MachineReport baseline, sim_full.Run({opt.get()}));
+    PlanNodePtr full = WithPolicy(storage_->catalog(), *opt,
+                                  {.index = IndexPolicy::kForceFullScan});
+    MachineSimulator sim_full(storage_.get(), honor);
+    ASSERT_OK_AND_ASSIGN(MachineReport baseline, sim_full.Run({full.get()}));
     ASSERT_EQ(pruned.results.size(), 1u);
     ASSERT_EQ(baseline.results.size(), 1u);
     ExpectSameResult(baseline.results[0], pruned.results[0]);
@@ -383,8 +384,8 @@ TEST(IndexMvccTest, OldSnapshotUnchangedAfterDelete) {
 
   ExecOptions honor;
   honor.page_bytes = 2000;
-  ExecOptions full = honor;
-  full.index = IndexPolicy::kForceFullScan;
+  PlanNodePtr full = WithPolicy(storage.catalog(), *opt,
+                                {.index = IndexPolicy::kForceFullScan});
 
   // Result at the pre-delete version, pruned.
   ASSERT_OK_AND_ASSIGN(QueryResult before, RunQuery(&storage, *opt, honor));
@@ -406,9 +407,9 @@ TEST(IndexMvccTest, OldSnapshotUnchangedAfterDelete) {
   ASSERT_OK_AND_ASSIGN(SnapshotView old_view, old_snap.View("ev"));
   IndexPruneCounters stats;
   ASSERT_OK_AND_ASSIGN(IndexMeta meta, storage.catalog().GetIndex("ev_u"));
-  std::vector<PageId> kept =
-      PruneScanPages(&storage, opt->child(0), old_view.pages,
-                     old_view.commit_ts, /*allow_gridfile=*/true, &stats);
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<PageId> kept,
+      ResolveScanPages(&storage, old_snap, opt->child(0), &stats));
   EXPECT_LT(kept.size(), old_view.pages.size());
   EXPECT_EQ(stats.gridfile_probes, 1u);
   std::vector<std::string> brute, via_index;
@@ -440,7 +441,8 @@ TEST(IndexMvccTest, OldSnapshotUnchangedAfterDelete) {
   EXPECT_EQ(brute.size(), before.num_tuples());
   ASSERT_OK_AND_ASSIGN(QueryResult after_pruned,
                        RunQuery(&storage, *opt, honor));
-  ASSERT_OK_AND_ASSIGN(QueryResult after_full, RunQuery(&storage, *opt, full));
+  ASSERT_OK_AND_ASSIGN(QueryResult after_full,
+                       RunQuery(&storage, *full, honor));
   ExpectSameResult(after_full, after_pruned);
 }
 
@@ -466,8 +468,6 @@ TEST(IndexMvccTest, ConcurrentPrunedReadsUnderGc) {
       ExecOptions honor;
       honor.page_bytes = 2000;
       honor.num_processors = 2;
-      ExecOptions full = honor;
-      full.index = IndexPolicy::kForceFullScan;
       while (!stop.load(std::memory_order_relaxed)) {
         auto plan = MakeRestrict(
             MakeScan("ev"),
@@ -478,9 +478,10 @@ TEST(IndexMvccTest, ConcurrentPrunedReadsUnderGc) {
         // only success (no torn reads, no use-after-free under GC) is
         // asserted here; result equality is covered by the differential
         // tests above.
-        ExecOptions opts = rng.Bernoulli(0.5) ? honor : full;
-        auto a = RunQuery(&storage, **opt, opts);
-        auto b = RunQuery(&storage, **opt, full);
+        PlanNodePtr full = WithPolicy(storage.catalog(), **opt,
+                                      {.index = IndexPolicy::kForceFullScan});
+        auto a = RunQuery(&storage, rng.Bernoulli(0.5) ? **opt : *full, honor);
+        auto b = RunQuery(&storage, *full, honor);
         if (!a.ok() || !b.ok()) { ++failures; break; }
       }
     });

@@ -5,7 +5,10 @@
 #include "operators/kernels.h"
 
 #include <algorithm>
+#include <set>
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 #include "operators/aggregator.h"
 #include "operators/dedup.h"
@@ -270,6 +273,80 @@ TEST_F(OperatorsTest, AggregatorGroupsDeterministically) {
     total += cnt.as_int64();
   }
   EXPECT_EQ(total, 300);
+}
+
+TEST(AggregatorDoubleSumTest, PageOrderDoesNotChangeBits) {
+  // SUM/AVG over DOUBLE must not depend on which order pages arrive in
+  // (workers, IPs and fragments deliver them in different orders). The
+  // values cancel heavily, so naive left-to-right summation differs between
+  // orders — and even overflows through 1e308 + 1e308 in some of them.
+  const Schema in = Schema::CreateOrDie(
+      {Column::Int32("g"), Column::Double("v")});
+  const std::vector<std::vector<double>> groups = {
+      {1e16, 1.0, -1e16, 1.0, 3.0, -3.0, 0.1, 0.2, 0.3, 1e-300, 4.9e-324},
+      {1e308, 1e308, -1e308, -1e308, 5.0},
+      {0.1, 0.7, -0.3, 1e-17, 2.5e15, -2.5e15, 1e-3, 7.25}};
+  // Spread every group's values across pages, two tuples per page.
+  std::vector<std::vector<std::pair<int32_t, double>>> page_rows;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t i = 0; i < groups[g].size(); ++i) {
+      if (page_rows.empty() || page_rows.back().size() == 2) {
+        page_rows.emplace_back();
+      }
+      page_rows.back().emplace_back(static_cast<int32_t>(g), groups[g][i]);
+    }
+  }
+  std::vector<PagePtr> pages;
+  for (const auto& rows : page_rows) {
+    ASSERT_OK_AND_ASSIGN(Page page, Page::Create(0, in.tuple_width(), 64));
+    for (const auto& [g, v] : rows) {
+      ASSERT_OK_AND_ASSIGN(std::string t,
+                           EncodeTuple(in, {Value::Int32(g), Value::Double(v)}));
+      ASSERT_OK(page.Append(Slice(t)));
+    }
+    pages.push_back(SealPage(std::move(page)));
+  }
+
+  std::vector<AggregateSpec> specs;
+  specs.push_back({AggregateSpec::Func::kSum, "v", "sum"});
+  specs.push_back({AggregateSpec::Func::kAvg, "v", "avg"});
+  const Schema out = Schema::CreateOrDie(
+      {Column::Int32("g"), Column::Double("sum"), Column::Double("avg")});
+  std::vector<size_t> order(pages.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  Random rng(17);
+  std::vector<std::string> first;
+  std::set<std::vector<double>> naive_sums;
+  for (int perm = 0; perm < 12; ++perm) {
+    ASSERT_OK_AND_ASSIGN(Aggregator agg,
+                         Aggregator::Create(in, out, {"g"}, specs));
+    std::vector<double> naive(groups.size(), 0.0);
+    for (size_t idx : order) {
+      ASSERT_OK(agg.Consume(*pages[idx]));
+      for (const auto& [g, v] : page_rows[idx]) naive[g] += v;
+    }
+    naive_sums.insert(naive);
+    VectorSink sink;
+    ASSERT_OK(agg.Finish(&sink));
+    if (perm == 0) {
+      first = sink.tuples();
+    } else {
+      EXPECT_EQ(sink.tuples(), first) << "permutation " << perm;
+    }
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.Uniform(i)]);
+    }
+  }
+  EXPECT_GT(naive_sums.size(), 1u) << "input is not order-sensitive";
+
+  // The rounded exact sums: group 1 cancels to exactly 5, where naive
+  // summation in submission order overflows to infinity.
+  ASSERT_EQ(first.size(), groups.size());
+  TupleView row(&out, Slice(first[1]));
+  ASSERT_OK_AND_ASSIGN(Value sum, row.GetValue(1));
+  ASSERT_OK_AND_ASSIGN(Value avg, row.GetValue(2));
+  EXPECT_EQ(sum.as_double(), 5.0);
+  EXPECT_EQ(avg.as_double(), 1.0);
 }
 
 TEST_F(OperatorsTest, PagedSinkSealsAndFlushes) {

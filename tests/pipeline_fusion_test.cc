@@ -7,8 +7,8 @@
 ///  1. kernel — a FusedPipeline program over raw tuple bytes must be
 ///     byte-identical to an independent per-step oracle (interpreted
 ///     predicates + manual byte-range projection);
-///  2. engine — seeded random plans executed with PipelinePolicy::kForceFuse
-///     must produce byte-identical pages, boundaries and order as
+///  2. engine — seeded random plans rewritten with ApplyPlanPolicy
+///     (PipelinePolicy::kForceFuse) must produce byte-identical pages, boundaries and order as
 ///     kForceMaterialize (the pre-fusion baseline) on a single worker;
 ///  3. simulator — folded restricts must leave every query's result bag
 ///     unchanged while eliding instruction traffic, and the ten-query mix's
@@ -36,6 +36,7 @@ namespace {
 
 using ::dfdb::testing::ExpectSameResult;
 using ::dfdb::testing::ResultMultiset;
+using ::dfdb::testing::WithPolicy;
 
 // ---------------------------------------------------------------------------
 // Kernel level: FusedPipeline vs an independent per-step oracle
@@ -236,8 +237,9 @@ class PipelineFusionEngineTest : public ::testing::Test {
     ExecOptions opts;
     opts.num_processors = 1;
     opts.page_bytes = 1000;
-    opts.pipeline = policy;
-    auto result = RunQuery(storage_.get(), plan, opts, stats);
+    PlanNodePtr submitted =
+        WithPolicy(storage_->catalog(), plan, {.pipeline = policy});
+    auto result = RunQuery(storage_.get(), *submitted, opts, stats);
     EXPECT_TRUE(result.ok()) << result.status();
     return result.ok() ? *std::move(result) : QueryResult{};
   }
@@ -319,9 +321,9 @@ TEST_F(PipelineFusionEngineTest, DifferentialFuzzFusedEqualsMaterialized) {
     } else {
       EXPECT_EQ(ResultMultiset(materialized), ResultMultiset(fused));
     }
-    EXPECT_EQ(mat_stats.pipeline_fused_edges, 0u);
-    total_fused_edges += fuse_stats.pipeline_fused_edges;
-    total_fused_pages += fuse_stats.pipeline_fused_pages;
+    EXPECT_EQ(mat_stats.pipeline.fused_edges, 0u);
+    total_fused_edges += fuse_stats.pipeline.fused_edges;
+    total_fused_pages += fuse_stats.pipeline.fused_pages;
   }
   // The fuzz must have actually exercised fusion, heavily.
   EXPECT_GT(total_fused_edges, 20u);
@@ -346,10 +348,10 @@ TEST_F(PipelineFusionEngineTest, HonorsOptimizerMarks) {
   QueryResult materialized =
       Run(*optimized, PipelinePolicy::kForceMaterialize, &mat_stats);
   EXPECT_EQ(ResultMultiset(honored), ResultMultiset(materialized));
-  EXPECT_EQ(honor_stats.pipeline_fused_edges,
+  EXPECT_EQ(honor_stats.pipeline.fused_edges,
             static_cast<uint64_t>(report.edges_fused));
-  EXPECT_GT(honor_stats.pipeline_pages_elided, 0u);
-  EXPECT_EQ(mat_stats.pipeline_fused_edges, 0u);
+  EXPECT_GT(honor_stats.pipeline.pages_elided, 0u);
+  EXPECT_EQ(mat_stats.pipeline.fused_edges, 0u);
 }
 
 TEST_F(PipelineFusionEngineTest, UnmarkedPlanRunsFullyMaterialized) {
@@ -360,8 +362,8 @@ TEST_F(PipelineFusionEngineTest, UnmarkedPlanRunsFullyMaterialized) {
   ExecStats stats;
   QueryResult result = Run(*plan, PipelinePolicy::kHonorPlan, &stats);
   EXPECT_GT(result.num_tuples(), 0u);
-  EXPECT_EQ(stats.pipeline_fused_edges, 0u);
-  EXPECT_GT(stats.pipeline_materialized_edges, 0u);
+  EXPECT_EQ(stats.pipeline.fused_edges, 0u);
+  EXPECT_GT(stats.pipeline.materialized_edges, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -385,27 +387,34 @@ TEST(PipelineFusionSimulator, FusedEqualsMaterializedAndElidesTraffic) {
   auto q2 = MakeRestrict(MakeScan("small"), Lt(Col("k1000"), Lit(700)));
   std::vector<const PlanNode*> queries{q0.get(), q1.get(), q2.get()};
 
-  MachineOptions materialize;
-  materialize.pipeline = PipelinePolicy::kForceMaterialize;
-  MachineSimulator mat_sim(&storage, materialize);
-  ASSERT_OK_AND_ASSIGN(MachineReport mat, mat_sim.Run(queries));
+  std::vector<PlanNodePtr> materialize, fuse;
+  std::vector<const PlanNode*> mat_queries, fuse_queries;
+  for (const PlanNode* q : queries) {
+    materialize.push_back(WithPolicy(
+        storage.catalog(), *q,
+        {.pipeline = PipelinePolicy::kForceMaterialize}));
+    mat_queries.push_back(materialize.back().get());
+    fuse.push_back(WithPolicy(storage.catalog(), *q,
+                              {.pipeline = PipelinePolicy::kForceFuse}));
+    fuse_queries.push_back(fuse.back().get());
+  }
+  MachineSimulator mat_sim(&storage, MachineOptions{});
+  ASSERT_OK_AND_ASSIGN(MachineReport mat, mat_sim.Run(mat_queries));
 
-  MachineOptions fuse;
-  fuse.pipeline = PipelinePolicy::kForceFuse;
-  MachineSimulator fuse_sim(&storage, fuse);
-  ASSERT_OK_AND_ASSIGN(MachineReport fused, fuse_sim.Run(queries));
+  MachineSimulator fuse_sim(&storage, MachineOptions{});
+  ASSERT_OK_AND_ASSIGN(MachineReport fused, fuse_sim.Run(fuse_queries));
 
   ASSERT_EQ(mat.results.size(), fused.results.size());
   for (size_t qi = 0; qi < mat.results.size(); ++qi) {
     SCOPED_TRACE("query " + std::to_string(qi));
     ExpectSameResult(mat.results[qi], fused.results[qi]);
   }
-  EXPECT_EQ(mat.pipeline_fused_edges, 0u);
+  EXPECT_EQ(mat.pipeline.fused_edges, 0u);
   // q0 folds both restricts; q1 folds one. q2's restrict is the root, so it
   // stays an instruction even under kForceFuse.
-  EXPECT_EQ(fused.pipeline_fused_edges, 3u);
-  EXPECT_GT(fused.pipeline_fused_pages, 0u);
-  EXPECT_GT(fused.pipeline_pages_elided, 0u);
+  EXPECT_EQ(fused.pipeline.fused_edges, 3u);
+  EXPECT_GT(fused.pipeline.fused_pages, 0u);
+  EXPECT_GT(fused.pipeline.pages_elided, 0u);
   // The folded restricts' instruction packets and result transfers are
   // gone, so the fused machine strictly does less ring work and finishes
   // no later.
@@ -426,12 +435,11 @@ TEST(PipelineFusionSimulator, MarkedProjectEdgeFallsBack) {
   ASSERT_EQ(plan->child(0).op, PlanOp::kProject);
   plan->children[0]->pipeline_fused = true;
 
-  MachineOptions opts;  // kHonorPlan.
-  MachineSimulator sim(&storage, opts);
+  MachineSimulator sim(&storage, MachineOptions{});
   std::vector<const PlanNode*> queries{plan.get()};
   ASSERT_OK_AND_ASSIGN(MachineReport report, sim.Run(queries));
-  EXPECT_EQ(report.pipeline_fused_edges, 0u);
-  EXPECT_EQ(report.pipeline_runtime_fallbacks, 1u);
+  EXPECT_EQ(report.pipeline.fused_edges, 0u);
+  EXPECT_EQ(report.pipeline.runtime_fallbacks, 1u);
   EXPECT_GT(report.results[0].num_tuples(), 0u);
 }
 
@@ -466,7 +474,7 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
   for (int run = 0; run < 2; ++run) {
     MachineSimulator sim(&storage, mopts);
     ASSERT_OK_AND_ASSIGN(MachineReport report, sim.Run(plans));
-    EXPECT_GT(report.pipeline_fused_edges, 0u);
+    EXPECT_GT(report.pipeline.fused_edges, 0u);
     sim_json[run] = report.ToReport().ToJson(/*include_timing=*/false);
   }
   EXPECT_EQ(sim_json[0], sim_json[1]);
@@ -482,7 +490,7 @@ TEST(PipelineFusionDeterminism, TenQueryCountersExportIdentically) {
     ExecStats stats;
     auto results = RunBatch(&storage, plans, eopts, &stats);
     ASSERT_TRUE(results.ok()) << results.status();
-    EXPECT_GT(stats.pipeline_fused_edges, 0u);
+    EXPECT_GT(stats.pipeline.fused_edges, 0u);
     engine_json[run] = stats.ToReport().ToJson(/*include_timing=*/false);
   }
   EXPECT_EQ(engine_json[0], engine_json[1]);

@@ -25,6 +25,7 @@ namespace {
 
 using ::dfdb::testing::ExpectSameResult;
 using ::dfdb::testing::ResultMultiset;
+using ::dfdb::testing::WithPolicy;
 
 // ---------------------------------------------------------------------------
 // Optimizer marking
@@ -126,9 +127,9 @@ TEST_F(PushdownPlanTest, EngineCountersTrackFilteredReads) {
   EXPECT_EQ(pc.fallbacks, 0u);
   EXPECT_EQ(pc.tuples_out, pushed.num_tuples());
 
-  ExecOptions off = honor;
-  off.pushdown = PushdownPolicy::kForceOff;
-  ASSERT_OK_AND_ASSIGN(QueryResult raw, RunQuery(storage_.get(), *opt, off));
+  PlanNodePtr off = WithPolicy(storage_->catalog(), *opt,
+                               {.pushdown = PushdownPolicy::kForceOff});
+  ASSERT_OK_AND_ASSIGN(QueryResult raw, RunQuery(storage_.get(), *off, honor));
   EXPECT_EQ(raw.stats().pushdown.pages_filtered, 0u);
   EXPECT_EQ(raw.stats().pushdown.tuples_in, 0u);
   ExpectSameResult(raw, pushed);
@@ -196,16 +197,17 @@ TEST_F(PushdownDifferentialTest, EngineHonorMatchesForceOffFuzz) {
   Random rng(123);
   ExecOptions honor;
   honor.page_bytes = 2000;
-  ExecOptions off = honor;
-  off.pushdown = PushdownPolicy::kForceOff;
 
   uint64_t total_filtered = 0;
   for (int trial = 0; trial < 40; ++trial) {
     auto plan = RandomQuery(&rng);
     ASSERT_OK_AND_ASSIGN(PlanNodePtr opt, optimizer.Optimize(*plan, nullptr));
+    PlanNodePtr off = WithPolicy(storage_->catalog(), *opt,
+                                 {.pushdown = PushdownPolicy::kForceOff});
     ASSERT_OK_AND_ASSIGN(QueryResult pushed,
                          RunQuery(storage_.get(), *opt, honor));
-    ASSERT_OK_AND_ASSIGN(QueryResult raw, RunQuery(storage_.get(), *opt, off));
+    ASSERT_OK_AND_ASSIGN(QueryResult raw,
+                         RunQuery(storage_.get(), *off, honor));
     ExpectSameResult(raw, pushed);
     total_filtered += pushed.stats().pushdown.pages_filtered;
     EXPECT_EQ(raw.stats().pushdown.pages_filtered, 0u);
@@ -218,8 +220,6 @@ TEST_F(PushdownDifferentialTest, MachineMatchesEngineWithPageParity) {
   Optimizer optimizer(&storage_->catalog());
   Random rng(321);
   MachineOptions honor;
-  MachineOptions off;
-  off.pushdown = PushdownPolicy::kForceOff;
   ExecOptions engine_honor;
   engine_honor.page_bytes = 2000;
 
@@ -229,8 +229,10 @@ TEST_F(PushdownDifferentialTest, MachineMatchesEngineWithPageParity) {
     ASSERT_OK_AND_ASSIGN(PlanNodePtr opt, optimizer.Optimize(*plan, nullptr));
     MachineSimulator sim_honor(storage_.get(), honor);
     ASSERT_OK_AND_ASSIGN(MachineReport pushed, sim_honor.Run({opt.get()}));
-    MachineSimulator sim_off(storage_.get(), off);
-    ASSERT_OK_AND_ASSIGN(MachineReport raw, sim_off.Run({opt.get()}));
+    PlanNodePtr off = WithPolicy(storage_->catalog(), *opt,
+                                 {.pushdown = PushdownPolicy::kForceOff});
+    MachineSimulator sim_off(storage_.get(), honor);
+    ASSERT_OK_AND_ASSIGN(MachineReport raw, sim_off.Run({off.get()}));
     ASSERT_EQ(pushed.results.size(), 1u);
     ASSERT_EQ(raw.results.size(), 1u);
     ExpectSameResult(raw.results[0], pushed.results[0]);
@@ -268,13 +270,10 @@ TEST(PushdownIndexTest, ComposedPruningAndPushdownMatchRawPath) {
 
   ExecOptions both;
   both.page_bytes = 2000;
-  ExecOptions neither = both;
-  neither.index = IndexPolicy::kForceFullScan;
-  neither.pushdown = PushdownPolicy::kForceOff;
-  ExecOptions prune_only = both;
-  prune_only.pushdown = PushdownPolicy::kForceOff;
-  ExecOptions push_only = both;
-  push_only.index = IndexPolicy::kForceFullScan;
+  const PlanPolicy neither{.index = IndexPolicy::kForceFullScan,
+                           .pushdown = PushdownPolicy::kForceOff};
+  const PlanPolicy prune_only{.pushdown = PushdownPolicy::kForceOff};
+  const PlanPolicy push_only{.index = IndexPolicy::kForceFullScan};
 
   uint64_t composed_filtered = 0, composed_pruned = 0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -284,12 +283,17 @@ TEST(PushdownIndexTest, ComposedPruningAndPushdownMatchRawPath) {
             Eq(Col("device"), Lit(static_cast<int32_t>(rng.Uniform(16))))));
     ASSERT_OK_AND_ASSIGN(PlanNodePtr opt, optimizer.Optimize(*plan, nullptr));
     ASSERT_OK_AND_ASSIGN(QueryResult r_both, RunQuery(&storage, *opt, both));
-    ASSERT_OK_AND_ASSIGN(QueryResult r_neither,
-                         RunQuery(&storage, *opt, neither));
-    ASSERT_OK_AND_ASSIGN(QueryResult r_prune,
-                         RunQuery(&storage, *opt, prune_only));
-    ASSERT_OK_AND_ASSIGN(QueryResult r_push,
-                         RunQuery(&storage, *opt, push_only));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult r_neither,
+        RunQuery(&storage, *WithPolicy(storage.catalog(), *opt, neither), both));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult r_prune,
+        RunQuery(&storage, *WithPolicy(storage.catalog(), *opt, prune_only),
+                 both));
+    ASSERT_OK_AND_ASSIGN(
+        QueryResult r_push,
+        RunQuery(&storage, *WithPolicy(storage.catalog(), *opt, push_only),
+                 both));
     ExpectSameResult(r_neither, r_both);
     ExpectSameResult(r_neither, r_prune);
     ExpectSameResult(r_neither, r_push);
@@ -321,8 +325,8 @@ TEST(PushdownMvccTest, PushedReadsUnchangedAcrossDelete) {
 
   ExecOptions honor;
   honor.page_bytes = 2000;
-  ExecOptions off = honor;
-  off.pushdown = PushdownPolicy::kForceOff;
+  PlanNodePtr off = WithPolicy(storage.catalog(), *opt,
+                               {.pushdown = PushdownPolicy::kForceOff});
 
   ASSERT_OK_AND_ASSIGN(QueryResult before, RunQuery(&storage, *opt, honor));
   ASSERT_GT(before.num_tuples(), 0u);
@@ -341,7 +345,7 @@ TEST(PushdownMvccTest, PushedReadsUnchangedAcrossDelete) {
   // see strictly fewer tuples than the pre-delete version.
   ASSERT_OK_AND_ASSIGN(QueryResult after_pushed,
                        RunQuery(&storage, *opt, honor));
-  ASSERT_OK_AND_ASSIGN(QueryResult after_raw, RunQuery(&storage, *opt, off));
+  ASSERT_OK_AND_ASSIGN(QueryResult after_raw, RunQuery(&storage, *off, honor));
   ExpectSameResult(after_raw, after_pushed);
   EXPECT_LT(after_pushed.num_tuples(), before.num_tuples());
   EXPECT_GT(after_pushed.stats().pushdown.pages_filtered, 0u);
@@ -374,8 +378,6 @@ TEST(PushdownMvccTest, ConcurrentPushedReadsUnderGc) {
       ExecOptions honor;
       honor.page_bytes = 2000;
       honor.num_processors = 2;
-      ExecOptions off = honor;
-      off.pushdown = PushdownPolicy::kForceOff;
       while (!stop.load(std::memory_order_relaxed)) {
         auto plan = MakeRestrict(
             MakeScan("r"),
@@ -385,8 +387,10 @@ TEST(PushdownMvccTest, ConcurrentPushedReadsUnderGc) {
         // Each run snapshots independently while the writer commits, so
         // only success (no torn reads under GC) is asserted here; result
         // equality is covered by the differential tests above.
+        PlanNodePtr off = WithPolicy(storage.catalog(), **opt,
+                                     {.pushdown = PushdownPolicy::kForceOff});
         auto a = RunQuery(&storage, **opt, honor);
-        auto b = RunQuery(&storage, **opt, off);
+        auto b = RunQuery(&storage, *off, honor);
         if (!a.ok() || !b.ok()) { ++failures; break; }
       }
     });

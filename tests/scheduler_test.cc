@@ -81,6 +81,32 @@ TEST_F(SchedulerTest, SubmitRunsOneQuery) {
   EXPECT_EQ(handle.queue_wait_ns(), 0u);
 }
 
+TEST_F(SchedulerTest, RelationDifferenceWithEmptyRightSideCompletes) {
+  // Regression: at relation granularity, when the left input closes last
+  // its close launches the difference, and an empty right side launches no
+  // right-side tasks — so no task retirement releases the buffered left
+  // pages. The close itself must. One deferred worker makes the order
+  // deterministic: beta has fewer pages than alpha, so its (empty) restrict
+  // closes first and alpha's closes last.
+  auto plan = MakeDifference(
+      MakeRestrict(MakeScan("alpha"), Lt(Col("k1000"), Lit(500))),
+      MakeRestrict(MakeScan("beta"), Lt(Col("k1000"), Lit(0))));
+  SchedulerOptions sopts;
+  sopts.exec = Options(1);
+  sopts.exec.granularity = Granularity::kRelation;
+  sopts.defer_worker_start = true;
+  Scheduler scheduler(storage_.get(), std::move(sopts));
+  ASSERT_OK_AND_ASSIGN(QueryHandle handle, scheduler.Submit(*plan));
+  scheduler.Start();
+  ASSERT_OK_AND_ASSIGN(QueryResult result, handle.Wait());
+  scheduler.Shutdown();
+
+  ReferenceExecutor reference(storage_.get());
+  ASSERT_OK_AND_ASSIGN(QueryResult expected, reference.Execute(*plan));
+  ExpectSameResult(expected, result);
+  EXPECT_GT(result.num_tuples(), 0u);
+}
+
 TEST_F(SchedulerTest, WaitTwiceReturnsFailedPrecondition) {
   Scheduler scheduler(storage_.get(), Options(2));
   auto plan = MakeScan("beta");

@@ -273,40 +273,5 @@ TEST_F(SnapshotSchedulerTest, ConcurrentDeleteAndScanDifferential) {
   EXPECT_GE(stats.commits, static_cast<uint64_t>(kWriters));
 }
 
-TEST_F(SnapshotSchedulerTest, BarrierModeStillQueuesReaders) {
-  // The legacy regime is preserved behind ConcurrencyMode::kBarrier:
-  // deferred submission of writer-then-reader makes the reader queue and
-  // observe the post-writer state (the pre-MVCC semantics).
-  StorageEngine storage(/*default_page_bytes=*/1000);
-  ASSERT_OK_AND_ASSIGN(auto id,
-                       GenerateRelation(&storage, "victim", 400, /*seed=*/11));
-  (void)id;
-  StorageEngine oracle(/*default_page_bytes=*/1000);
-  ASSERT_OK_AND_ASSIGN(auto oid,
-                       GenerateRelation(&oracle, "victim", 400, /*seed=*/11));
-  (void)oid;
-  ReferenceExecutor oracle_ref(&oracle);
-  auto del = MakeDelete("victim", Lt(Col("k1000"), Lit(500)));
-  ASSERT_OK(oracle_ref.Execute(*del).status());
-  ASSERT_OK_AND_ASSIGN(QueryResult post_writer,
-                       oracle_ref.Execute(*MakeScan("victim")));
-
-  SchedulerOptions sopts;
-  sopts.exec = Options(1);
-  sopts.defer_worker_start = true;
-  sopts.concurrency = ConcurrencyMode::kBarrier;
-  Scheduler scheduler(&storage, std::move(sopts));
-  ASSERT_OK_AND_ASSIGN(QueryHandle writer, scheduler.Submit(*del->Clone()));
-  ASSERT_OK_AND_ASSIGN(QueryHandle reader,
-                       scheduler.Submit(*MakeScan("victim")));
-  scheduler.Start();
-  ASSERT_OK(writer.Wait().status());
-  ASSERT_OK_AND_ASSIGN(QueryResult reader_result, reader.Wait());
-  scheduler.Shutdown();
-
-  EXPECT_EQ(reader_result.stats().sched_queued, 1u);
-  ExpectSameResult(post_writer, reader_result);
-}
-
 }  // namespace
 }  // namespace dfdb

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/query_result.h"
+#include "ra/analyzer.h"
+#include "ra/optimizer.h"
 #include "storage/storage_engine.h"
 #include "workload/generator.h"
 
@@ -38,6 +40,18 @@ namespace testing {
   auto tmp = (expr);                                     \
   ASSERT_TRUE(tmp.ok()) << tmp.status().ToString();      \
   lhs = std::move(tmp).value()
+
+/// A resolved copy of \p plan with its marks rewritten per \p policy:
+/// what a test submits to run one side of a policy differential.
+inline PlanNodePtr WithPolicy(const Catalog& catalog, const PlanNode& plan,
+                              const PlanPolicy& policy) {
+  PlanNodePtr copy = plan.Clone();
+  Analyzer analyzer(&catalog);
+  const Status resolved = analyzer.Resolve(copy.get()).status();
+  EXPECT_TRUE(resolved.ok()) << resolved.ToString();
+  ApplyPlanPolicy(copy.get(), policy);
+  return copy;
+}
 
 /// Collects a result's tuples as a sorted multiset of raw encodings, so two
 /// results can be compared independent of row order.

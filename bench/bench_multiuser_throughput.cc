@@ -8,8 +8,9 @@
 /// threads under two execution regimes:
 ///
 ///   per_query         — the historical model: each query stands up its own
-///       worker pool via RunQuery, with the callers spinning on the
-///       ConflictManager themselves ("the caller's responsibility").
+///       worker pool via RunQuery, with the callers arbitrating on the
+///       ConflictManager themselves ("the caller's responsibility"),
+///       blocking until a release lets them in.
 ///   resident_snapshot — one long-lived Scheduler under MVCC snapshot reads:
 ///       readers are stamped with an immutable Snapshot at admission and
 ///       never queue; the admission queue arbitrates writer–writer
@@ -28,7 +29,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -125,8 +128,8 @@ uint64_t CombineReaderHashes(const std::vector<uint64_t>& per_index) {
 struct ModeResult {
   double wall_seconds = 0;
   double qps = 0;
-  /// Admission-queue entries (resident modes) or spin retries (per_query),
-  /// split by the stream's reader/writer flag.
+  /// Admission-queue entries (resident modes) or blocked admissions
+  /// (per_query), split by the stream's reader/writer flag.
   uint64_t reader_queued = 0;
   uint64_t writer_queued = 0;
   uint64_t queue_wait_ns = 0;
@@ -135,15 +138,18 @@ struct ModeResult {
 };
 
 /// Pool-per-query baseline: clients pull stream indices from a shared
-/// cursor, spin on the ConflictManager until admitted, and run each query
+/// cursor, wait on the ConflictManager until admitted, and run each query
 /// through RunQuery — which builds and tears down a worker pool per call,
-/// exactly as pre-scheduler callers did.
+/// exactly as pre-scheduler callers did. A client refused admission sleeps
+/// on a condition variable until some query releases its relations.
 ModeResult RunPerQuery(StorageEngine* storage,
                        const std::vector<StreamQuery>& stream,
                        const ExecOptions& opts, int clients) {
   ConflictManager conflicts;
+  std::mutex admit_mu;
+  std::condition_variable released;
   std::atomic<size_t> cursor{0};
-  std::vector<uint64_t> retries(stream.size(), 0);
+  std::vector<uint64_t> blocked(stream.size(), 0);
   std::vector<uint64_t> hashes(stream.size(), 0);
   std::vector<ExecStats> per_query(stream.size());
   std::vector<Status> statuses(stream.size(), Status::OK());
@@ -156,12 +162,21 @@ ModeResult RunPerQuery(StorageEngine* storage,
            i = cursor.fetch_add(1)) {
         const StreamQuery& sq = stream[i];
         const uint64_t qid = static_cast<uint64_t>(i) + 1;
-        while (!conflicts.TryAdmit(qid, sq.read_set, sq.write_set)) {
-          ++retries[i];
-          std::this_thread::yield();
+        {
+          std::unique_lock<std::mutex> lock(admit_mu);
+          if (!conflicts.TryAdmit(qid, sq.read_set, sq.write_set)) {
+            blocked[i] = 1;
+            released.wait(lock, [&] {
+              return conflicts.TryAdmit(qid, sq.read_set, sq.write_set);
+            });
+          }
         }
         auto result = RunQuery(storage, *sq.plan, opts, &per_query[i]);
-        conflicts.Release(qid);
+        {
+          std::lock_guard<std::mutex> lock(admit_mu);
+          conflicts.Release(qid);
+        }
+        released.notify_all();
         statuses[i] = result.status();
         if (result.ok() && !sq.is_writer) hashes[i] = HashResult(*result);
       }
@@ -186,8 +201,8 @@ ModeResult RunPerQuery(StorageEngine* storage,
     sum.mvcc_gc_reclaimed += per_query[i].mvcc_gc_reclaimed;
     sum.mvcc_commits += per_query[i].mvcc_commits;
     sum.mvcc_versions_live = per_query[i].mvcc_versions_live;
-    out.reader_queued += stream[i].is_writer ? 0 : retries[i];
-    out.writer_queued += stream[i].is_writer ? retries[i] : 0;
+    out.reader_queued += stream[i].is_writer ? 0 : blocked[i];
+    out.writer_queued += stream[i].is_writer ? blocked[i] : 0;
   }
   out.wall_seconds = std::chrono::duration<double>(end - start).count();
   sum.wall_seconds = out.wall_seconds;

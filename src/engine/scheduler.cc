@@ -1049,7 +1049,6 @@ void SchedulerImpl::DeleteDriver(NodeState* node) {
   QueryRuntime* q = node->query;
   q->counters.tasks_executed.fetch_add(1, std::memory_order_relaxed);
   if (!q->failed.load(std::memory_order_relaxed)) {
-    const Schema& schema = node->node->output_schema;
     const Expr* pred = node->node->predicate.get();
     const CompiledPredicate* compiled = node->compiled_pred;
     Status pred_error = Status::OK();
@@ -1062,18 +1061,20 @@ void SchedulerImpl::DeleteDriver(NodeState* node) {
       }
       return *r;
     };
-    const uint64_t before_bytes =
-        node->target_file->tuple_count() *
-        static_cast<uint64_t>(schema.tuple_width());
-    auto removed = node->target_file->DeleteWhere(matcher);
+    // Pages whose zone map rules the predicate out are passed through
+    // unread; only the pages read are charged.
+    DeleteStats work;
+    auto removed = node->target_file->DeleteWhere(
+        matcher, DeletePageFilter(compiled, node->target_file->schema()),
+        &work);
     q->counters.packets.fetch_add(1, std::memory_order_relaxed);
-    q->counters.arbitration_bytes.fetch_add(before_bytes,
+    q->counters.arbitration_bytes.fetch_add(work.bytes_read,
                                             std::memory_order_relaxed);
     q->counters.overhead_bytes.fetch_add(
         static_cast<uint64_t>(opts().packet_overhead_bytes),
         std::memory_order_relaxed);
     RecordTrace(obs::TraceEventKind::kTaskExecuted, q, node->node->id, 0,
-                before_bytes, "delete");
+                work.bytes_read, "delete");
     if (!removed.ok()) {
       q->Fail(removed.status().WithContext("delete"));
     } else if (!pred_error.ok()) {

@@ -98,6 +98,18 @@ bool ZoneMapMayMatch(const ZoneMapEntry& entry, const Schema& schema,
   return true;
 }
 
+HeapFile::PageFilter DeletePageFilter(const CompiledPredicate* program,
+                                      const Schema& schema) {
+  if (program == nullptr ||
+      (program->shape() != CompiledPredicate::Shape::kSingleCompare &&
+       program->shape() != CompiledPredicate::Shape::kConjunction)) {
+    return nullptr;
+  }
+  return [program, schema](const ZoneMapEntry& entry) {
+    return ZoneMapMayMatch(entry, schema, program->col_compares());
+  };
+}
+
 void RegisterIndexMetrics(const IndexPruneCounters& counters,
                           const char* prefix, obs::MetricsRegistry* registry) {
   const std::string p(prefix);

@@ -18,7 +18,9 @@
 
 #include "index/index_stats.h"
 #include "index/zone_map.h"
+#include "ra/expr_compile.h"
 #include "ra/plan.h"
+#include "storage/heap_file.h"
 #include "storage/snapshot.h"
 #include "storage/storage_engine.h"
 
@@ -31,6 +33,14 @@ namespace dfdb {
 /// mirror expr_detail exactly.
 bool ZoneMapMayMatch(const ZoneMapEntry& entry, const Schema& schema,
                      const std::vector<ColCompare>& bounds);
+
+/// The page filter a delete hands HeapFile::DeleteWhere: ZoneMapMayMatch
+/// over the conjuncts of \p program, the delete's compiled predicate from
+/// its PhysicalPlan. Null (every page is read) when there is no program or
+/// its shape is not a single compare or a conjunction of compares. The
+/// filter keeps a pointer to \p program, which must outlive it.
+HeapFile::PageFilter DeletePageFilter(const CompiledPredicate* program,
+                                      const Schema& schema);
 
 /// Resolves a scan to the page ids it reads: \p snapshot's view of the
 /// scanned relation, in view order, pruned per the scan's access-path mark

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <set>
 
 #include "common/status.h"
@@ -49,7 +50,6 @@ StatusOr<std::shared_ptr<const GridFileIndex>> GridFileIndex::Build(
   }
   auto index = std::shared_ptr<GridFileIndex>(new GridFileIndex());
   index->built_ts_ = built_ts;
-  index->pages_indexed_ = pages.size();
   for (int col : key_columns) {
     if (col < 0 || col >= schema.num_columns()) {
       return Status::InvalidArgument("grid key column out of range");
@@ -107,46 +107,89 @@ StatusOr<std::shared_ptr<const GridFileIndex>> GridFileIndex::Build(
   index->postings_.resize(static_cast<size_t>(num_cells));
 
   // Pass 2: post each page to every cell one of its tuples falls in.
-  // Pages are walked in view order and each page is appended at most once
-  // per cell, so posting lists come out sorted iff page ids ascend; sort
-  // defensively since views may reorder after CoW rewrites.
-  std::vector<char> touched(static_cast<size_t>(num_cells));
   for (size_t pi = 0; pi < loaded.size(); ++pi) {
-    const Page& page = *loaded[pi];
-    std::fill(touched.begin(), touched.end(), 0);
-    for (int i = 0; i < page.num_tuples(); ++i) {
-      const char* t = page.tuple(i).data();
-      // Cell ranges per dim (a NaN key spans the whole dimension).
-      int lo[2] = {0, 0}, hi[2] = {0, 0};
-      for (size_t di = 0; di < index->dims_.size(); ++di) {
-        const Dim& d = index->dims_[di];
-        const double v = LoadKey(d.type, t + d.offset);
-        if (std::isnan(v)) {
-          lo[di] = 0;
-          hi[di] = d.cells() - 1;
-        } else {
-          lo[di] = hi[di] = index->CellOf(static_cast<int>(di), v);
-        }
-      }
-      if (index->dims_.size() == 1) {
-        for (int c = lo[0]; c <= hi[0]; ++c) touched[static_cast<size_t>(c)] = 1;
+    index->Post(pages[pi], *loaded[pi]);
+  }
+  index->SortPostings();
+  index->pages_ = pages;
+  std::sort(index->pages_.begin(), index->pages_.end());
+  return std::shared_ptr<const GridFileIndex>(std::move(index));
+}
+
+StatusOr<std::shared_ptr<const GridFileIndex>> GridFileIndex::Derive(
+    const PageStore& store, const std::vector<PageId>& pages,
+    uint64_t built_ts) const {
+  std::vector<PageId> want = pages;
+  std::sort(want.begin(), want.end());
+  std::vector<PageId> gone, arrived;
+  std::set_difference(pages_.begin(), pages_.end(), want.begin(), want.end(),
+                      std::back_inserter(gone));
+  std::set_difference(want.begin(), want.end(), pages_.begin(), pages_.end(),
+                      std::back_inserter(arrived));
+  auto index = std::shared_ptr<GridFileIndex>(new GridFileIndex(*this));
+  index->built_ts_ = built_ts;
+  index->pages_ = std::move(want);
+  if (!gone.empty()) {
+    for (auto& list : index->postings_) {
+      list.erase(std::remove_if(list.begin(), list.end(),
+                                [&gone](PageId id) {
+                                  return std::binary_search(
+                                      gone.begin(), gone.end(), id);
+                                }),
+                 list.end());
+    }
+  }
+  for (PageId id : arrived) {
+    auto page = store.Get(id);
+    if (!page.ok()) return page.status();
+    index->Post(id, **page);
+  }
+  index->SortPostings();
+  return std::shared_ptr<const GridFileIndex>(std::move(index));
+}
+
+void GridFileIndex::Post(PageId id, const Page& page) {
+  std::vector<char> touched(static_cast<size_t>(num_cells_));
+  for (int i = 0; i < page.num_tuples(); ++i) {
+    const char* t = page.tuple(i).data();
+    // Cell ranges per dim (a NaN key spans the whole dimension).
+    int lo[2] = {0, 0}, hi[2] = {0, 0};
+    for (size_t di = 0; di < dims_.size(); ++di) {
+      const Dim& d = dims_[di];
+      const double v = LoadKey(d.type, t + d.offset);
+      if (std::isnan(v)) {
+        lo[di] = 0;
+        hi[di] = d.cells() - 1;
       } else {
-        const int inner = index->dims_[1].cells();
-        for (int c0 = lo[0]; c0 <= hi[0]; ++c0) {
-          for (int c1 = lo[1]; c1 <= hi[1]; ++c1) {
-            touched[static_cast<size_t>(c0 * inner + c1)] = 1;
-          }
-        }
+        lo[di] = hi[di] = CellOf(static_cast<int>(di), v);
       }
     }
-    for (int c = 0; c < num_cells; ++c) {
-      if (touched[static_cast<size_t>(c)]) {
-        index->postings_[static_cast<size_t>(c)].push_back(pages[pi]);
+    if (dims_.size() == 1) {
+      for (int c = lo[0]; c <= hi[0]; ++c) touched[static_cast<size_t>(c)] = 1;
+    } else {
+      const int inner = dims_[1].cells();
+      for (int c0 = lo[0]; c0 <= hi[0]; ++c0) {
+        for (int c1 = lo[1]; c1 <= hi[1]; ++c1) {
+          touched[static_cast<size_t>(c0 * inner + c1)] = 1;
+        }
       }
     }
   }
-  for (auto& list : index->postings_) std::sort(list.begin(), list.end());
-  return std::shared_ptr<const GridFileIndex>(std::move(index));
+  for (int c = 0; c < num_cells_; ++c) {
+    if (touched[static_cast<size_t>(c)]) {
+      postings_[static_cast<size_t>(c)].push_back(id);
+    }
+  }
+}
+
+void GridFileIndex::SortPostings() {
+  // Pages are posted in view order, which ascends by id except after CoW
+  // rewrites and for pages a backwards Derive re-posts.
+  for (auto& list : postings_) {
+    if (!std::is_sorted(list.begin(), list.end())) {
+      std::sort(list.begin(), list.end());
+    }
+  }
 }
 
 int GridFileIndex::CellOf(int dim, double v) const {

@@ -11,11 +11,15 @@
 /// lists — the candidate pages a scan must still read (zone maps then prune
 /// further on top).
 ///
-/// An index instance is immutable after Build() and bound to one MVCC
+/// An index instance is immutable once built and bound to one MVCC
 /// version: it summarizes exactly the page list it was built from, at
-/// `built_ts`. The IndexManager rebuilds per snapshot version on demand, so
-/// pruning through an old Snapshot stays byte-identical to a full scan of
-/// that snapshot.
+/// `built_ts`. Build() scans every page of a version and fits the scales;
+/// Derive() maintains an existing index incrementally, as grid files are
+/// meant to be: it keeps the scales, drops the pages that left and posts
+/// only the pages that arrived. The IndexManager derives each version a
+/// snapshot asks for from a cached one, so pruning through an old Snapshot
+/// stays byte-identical to a full scan of that snapshot while a commit
+/// costs index work in proportion to the pages it changed.
 
 #ifndef DFDB_INDEX_GRID_FILE_H_
 #define DFDB_INDEX_GRID_FILE_H_
@@ -58,11 +62,20 @@ class GridFileIndex {
       const PageStore& store, const std::vector<PageId>& pages,
       uint64_t built_ts);
 
+  /// The index of another version of the same relation, derived from
+  /// this one: the scales are kept, pages of this version missing from
+  /// \p pages are dropped from every posting list, and pages of \p pages
+  /// this version lacks are read and posted. Works in both directions
+  /// (a newer or an older version).
+  StatusOr<std::shared_ptr<const GridFileIndex>> Derive(
+      const PageStore& store, const std::vector<PageId>& pages,
+      uint64_t built_ts) const;
+
   /// Commit timestamp of the heap-file version this index summarizes.
   uint64_t built_ts() const { return built_ts_; }
   const std::vector<Dim>& dims() const { return dims_; }
   int num_cells() const { return num_cells_; }
-  uint64_t pages_indexed() const { return pages_indexed_; }
+  uint64_t pages_indexed() const { return pages_.size(); }
 
   /// Candidate pages for \p bounds: the union of posting lists of the cell
   /// rectangle the bounds select, sorted ascending. nullopt when no bound
@@ -74,15 +87,25 @@ class GridFileIndex {
 
  private:
   GridFileIndex() = default;
+  GridFileIndex(const GridFileIndex&) = default;
 
   int CellOf(int dim, double v) const;
+
+  /// Appends \p id to the posting list of every cell one of \p page's
+  /// tuples falls in (a NaN key spans its whole dimension). The one
+  /// posting routine of Build and Derive.
+  void Post(PageId id, const Page& page);
+
+  /// Restores ascending order in every posting list after Post calls.
+  void SortPostings();
 
   std::vector<Dim> dims_;
   /// Posting lists per linearized cell (row-major over dims), each sorted.
   std::vector<std::vector<PageId>> postings_;
   int num_cells_ = 1;
   uint64_t built_ts_ = 0;
-  uint64_t pages_indexed_ = 0;
+  /// The version's pages, sorted ascending (the base of Derive's diff).
+  std::vector<PageId> pages_;
 };
 
 }  // namespace dfdb

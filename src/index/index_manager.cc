@@ -13,8 +13,8 @@ Status IndexManager::CreateIndex(const std::string& name,
   meta.relation = relation;
   meta.columns = std::move(columns);
   DFDB_RETURN_IF_ERROR(storage_->catalog().CreateIndex(meta));
-  // Warm build at the current committed version; later snapshots at other
-  // timestamps rebuild on demand in Resolve().
+  // Full build at the current committed version; later snapshots at other
+  // timestamps derive theirs from it in Resolve().
   Snapshot snap = storage_->CaptureSnapshot();
   auto view = snap.View(relation);
   if (view.ok()) (void)Resolve(meta, view->commit_ts, view->pages);
@@ -31,6 +31,7 @@ Status IndexManager::DropIndex(const std::string& name) {
 std::shared_ptr<const GridFileIndex> IndexManager::Resolve(
     const IndexMeta& meta, uint64_t commit_ts,
     const std::vector<PageId>& pages) {
+  std::shared_ptr<const GridFileIndex> base;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = built_.find(meta.name);
@@ -41,21 +42,30 @@ std::shared_ptr<const GridFileIndex> IndexManager::Resolve(
           return idx;
         }
       }
+      for (const auto& idx : it->second.versions) {
+        if (base == nullptr || idx->built_ts() > base->built_ts()) base = idx;
+      }
     }
   }
-  // Build outside the lock (pass over every page of the version); two
-  // racing builders produce identical immutable indexes, either may win
-  // the cache slot.
+  // Derive from the newest cached version, or build on a cold cache,
+  // outside the lock; two racing resolvers produce identical immutable
+  // indexes, either may win the cache slot. A base over no pages has no
+  // scales worth keeping, so the index is built afresh.
   auto rel = storage_->catalog().GetRelation(meta.relation);
   if (!rel.ok()) return nullptr;
-  std::vector<int> key_columns;
-  for (const std::string& col : meta.columns) {
-    auto idx = rel->schema.ColumnIndex(col);
-    if (!idx.ok()) return nullptr;
-    key_columns.push_back(*idx);
-  }
-  auto built = GridFileIndex::Build(rel->schema, key_columns,
-                                    storage_->page_store(), pages, commit_ts);
+  auto build = [&]() -> StatusOr<std::shared_ptr<const GridFileIndex>> {
+    if (base != nullptr && base->pages_indexed() > 0) {
+      return base->Derive(storage_->page_store(), pages, commit_ts);
+    }
+    std::vector<int> key_columns;
+    for (const std::string& col : meta.columns) {
+      DFDB_ASSIGN_OR_RETURN(int idx, rel->schema.ColumnIndex(col));
+      key_columns.push_back(idx);
+    }
+    return GridFileIndex::Build(rel->schema, key_columns,
+                                storage_->page_store(), pages, commit_ts);
+  };
+  auto built = build();
   if (!built.ok()) return nullptr;
 
   std::lock_guard<std::mutex> lock(mu_);

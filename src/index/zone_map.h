@@ -4,7 +4,7 @@
 /// The paper's bandwidth argument (Section 3.3) is that only tuples which
 /// survive a restrict should ever cross the rings; a zone map extends that
 /// one level down — a page whose [min, max] range cannot contain a match is
-/// never staged at all. Zone maps are built exactly once, when a page is
+/// never staged at all, and a delete passes it through unread. Zone maps are built exactly once, when a page is
 /// sealed (HeapFile::SealCurrentLocked and DeleteWhere's CoW rewrite are
 /// the only two seal sites), and are erased when the page is freed. Because
 /// sealed pages are immutable and MVCC versions are page-id lists, a zone

@@ -1663,14 +1663,15 @@ void Sim::FinishInstr(int instr_id) {
     if (file.ok()) {
       const Expr* pred = ir.def->node->predicate.get();
       const CompiledPredicate* compiled = ir.def->pred;
-      auto removed =
-          (*file)->DeleteWhere([pred, compiled](const TupleView& t) {
+      auto removed = (*file)->DeleteWhere(
+          [pred, compiled](const TupleView& t) {
             if (compiled != nullptr) {
               return compiled->Matches(t.raw().data(), nullptr);
             }
             auto r = pred->EvalBool(t, nullptr);
             return r.ok() && *r;
-          });
+          },
+          DeletePageFilter(compiled, (*file)->schema()));
       if (!removed.ok()) Fail(removed.status());
       auto meta = storage_->catalog().GetRelation(ir.def->node->relation);
       if (meta.ok()) {

@@ -98,15 +98,19 @@ uint64_t HeapFile::page_count() const {
 }
 
 StatusOr<uint64_t> HeapFile::DeleteWhere(
-    const std::function<bool(const TupleView&)>& pred) {
+    const std::function<bool(const TupleView&)>& pred,
+    const PageFilter& may_match, DeleteStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
   if (current_ != nullptr && !current_->empty()) {
     DFDB_RETURN_IF_ERROR(SealCurrentLocked());
   }
+  DeleteStats local;
   uint64_t removed = 0;
   std::vector<PageId> new_pages;
+  new_pages.reserve(pages_.size());
+  // Survivors of the current run of affected pages, packed in order.
   std::unique_ptr<Page> out;
-  auto flush_out = [&]() -> Status {
+  auto flush_out = [&]() {
     if (out != nullptr && !out->empty()) {
       new_pages.push_back(SealIntoStoreLocked(std::move(*out)));
       if (mvcc_ != nullptr) {
@@ -114,24 +118,50 @@ StatusOr<uint64_t> HeapFile::DeleteWhere(
       }
     }
     out.reset();
-    return Status::OK();
   };
+  // A kept page ends the current run: its partly filled survivor page is
+  // sealed first so tuple order is preserved.
+  auto keep = [&](PageId id) {
+    flush_out();
+    new_pages.push_back(id);
+  };
+  std::vector<char> victim;
   for (PageId id : pages_) {
-    auto page = store_->Get(id);
-    if (!page.ok()) return page.status();
-    for (int i = 0; i < (*page)->num_tuples(); ++i) {
-      TupleView view(&schema_, (*page)->tuple(i));
-      if (pred(view)) {
-        ++removed;
+    if (may_match != nullptr) {
+      auto entry = zone_maps_.Get(id);
+      if (entry != nullptr && !may_match(*entry)) {
+        keep(id);
         continue;
       }
+    }
+    auto page = store_->Get(id);
+    if (!page.ok()) return page.status();
+    const Page& in = **page;
+    ++local.pages_read;
+    local.bytes_read += static_cast<uint64_t>(in.payload_bytes());
+    victim.assign(static_cast<size_t>(in.num_tuples()), 0);
+    uint64_t victims = 0;
+    for (int i = 0; i < in.num_tuples(); ++i) {
+      if (pred(TupleView(&schema_, in.tuple(i)))) {
+        victim[static_cast<size_t>(i)] = 1;
+        ++victims;
+      }
+    }
+    if (victims == 0) {
+      keep(id);
+      continue;
+    }
+    removed += victims;
+    ++local.pages_rewritten;
+    for (int i = 0; i < in.num_tuples(); ++i) {
+      if (victim[static_cast<size_t>(i)]) continue;
       if (out == nullptr) {
         auto np = Page::Create(relation_, schema_.tuple_width(), page_bytes_);
         if (!np.ok()) return np.status();
         out = std::make_unique<Page>(*std::move(np));
       }
-      DFDB_RETURN_IF_ERROR(out->Append((*page)->tuple(i)));
-      if (out->full()) DFDB_RETURN_IF_ERROR(flush_out());
+      DFDB_RETURN_IF_ERROR(out->Append(in.tuple(i)));
+      if (out->full()) flush_out();
     }
     // Copy-on-write: a replaced page that belongs to the committed version
     // must stay readable for older snapshots — the commit diff retires it.
@@ -141,10 +171,11 @@ StatusOr<uint64_t> HeapFile::DeleteWhere(
       zone_maps_.Erase(id);
     }
   }
-  DFDB_RETURN_IF_ERROR(flush_out());
+  flush_out();
   pages_ = std::move(new_pages);
   tuple_count_ -= removed;
   dirty_ = true;
+  if (stats != nullptr) *stats = local;
   return removed;
 }
 

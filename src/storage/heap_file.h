@@ -30,24 +30,38 @@ struct HeapFileVersion {
   uint64_t tuple_count = 0;
 };
 
+/// \brief What one DeleteWhere did, page by page.
+struct DeleteStats {
+  /// Pages loaded and tested against the predicate (pages the page filter
+  /// passed through are not read).
+  uint64_t pages_read = 0;
+  /// Payload bytes of the pages read.
+  uint64_t bytes_read = 0;
+  /// Pages of the head that held a victim and were replaced.
+  uint64_t pages_rewritten = 0;
+};
+
 /// \brief Append-oriented tuple storage for one relation, with MVCC page
 /// versions.
 ///
 /// Tuples accumulate in an open page; when it fills it is sealed into the
-/// PageStore and recorded. Delete is supported by rewriting affected pages
-/// (fine at 1979 scale and for the paper's `delete` query-tree operator).
+/// PageStore and recorded. Delete is page-local: only pages holding a
+/// victim are rewritten, so a delete's cost follows the pages it touches
+/// (the paper's page-granularity argument applied to the `delete`
+/// query-tree operator).
 ///
 /// Versioning: mutations (Append*, DeleteWhere) act on a mutable working
 /// head. Commit(ts) freezes the head as a new immutable version; ViewAt(ts)
 /// resolves a snapshot timestamp to the newest version at or before it.
 /// Sealed pages are immutable, so a version is just a page-id list —
-/// DeleteWhere's compaction rewrite is the copy-on-write step, and pages of
-/// the previous version that leave the head are *retired* (queued for
-/// version GC) rather than freed, because older snapshots may still read
-/// them. GcUpTo(min_live_ts) frees retired pages no live snapshot can see.
-/// Uncommitted pages that never made it into a version are freed eagerly,
-/// which preserves the historical storage footprint for files that never
-/// commit (e.g. standalone use in tests).
+/// DeleteWhere's rewrite of the affected pages is the copy-on-write step:
+/// pages without a victim keep their ids and are shared by both versions,
+/// and pages of the previous version that leave the head are *retired*
+/// (queued for version GC) rather than freed, because older snapshots may
+/// still read them. GcUpTo(min_live_ts) frees retired pages no live
+/// snapshot can see. Uncommitted pages that never made it into a version
+/// are freed eagerly, which preserves the historical storage footprint for
+/// files that never commit (e.g. standalone use in tests).
 class HeapFile {
  public:
   HeapFile(RelationId relation, Schema schema, int page_bytes,
@@ -76,13 +90,23 @@ class HeapFile {
   uint64_t tuple_count() const;
   uint64_t page_count() const;
 
+  /// May a page with this zone map hold a tuple the delete predicate
+  /// matches? False lets DeleteWhere pass the page through unread.
+  using PageFilter = std::function<bool(const ZoneMapEntry&)>;
+
   /// Removes tuples matching \p pred (exact byte equality against an
-  /// encoded tuple is handled by the caller providing the predicate).
-  /// Returns the number removed. Pages are rewritten compactly; replaced
-  /// pages that belong to the committed version are retired for GC, the
-  /// rest are freed immediately.
+  /// encoded tuple is handled by the caller providing the predicate) and
+  /// returns the number removed. Pages without a victim keep their ids;
+  /// each run of consecutive pages holding victims is replaced by its
+  /// survivors packed into fresh pages, so a delete never yields more pages
+  /// than it replaced and tuple order is preserved. Replaced pages that
+  /// belong to the committed version are retired for GC, the rest are
+  /// freed immediately. With \p may_match, pages whose zone map it rejects
+  /// are kept without being read; it must be conservative for \p pred.
+  /// \p stats (optional) receives the page work done.
   StatusOr<uint64_t> DeleteWhere(
-      const std::function<bool(const TupleView&)>& pred);
+      const std::function<bool(const TupleView&)>& pred,
+      const PageFilter& may_match = nullptr, DeleteStats* stats = nullptr);
 
   // --- MVCC: committed versions, snapshot views, version GC ---
 

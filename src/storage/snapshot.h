@@ -13,10 +13,11 @@
 /// through the admission queue (writer–writer conflicts only).
 ///
 /// Page versioning is copy-on-write at page granularity: sealed pages are
-/// immutable, appends only add pages, and DeleteWhere rewrites survivors
-/// into fresh pages — so a version is just a list of page ids, and an old
-/// version stays byte-identically readable until version GC frees its
-/// retired pages (only once no live snapshot can see them).
+/// immutable, appends only add pages, and DeleteWhere rewrites the
+/// survivors of the pages holding a victim into fresh pages (the others are
+/// shared by both versions) — so a version is just a list of page ids, and
+/// an old version stays byte-identically readable until version GC frees
+/// its retired pages (only once no live snapshot can see them).
 
 #ifndef DFDB_STORAGE_SNAPSHOT_H_
 #define DFDB_STORAGE_SNAPSHOT_H_

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -504,6 +505,202 @@ TEST(IndexMvccTest, ConcurrentPrunedReadsUnderGc) {
   writer.join();
   for (auto& th : readers) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+/// Raw bytes of every tuple of \p pages matching \p pred, sorted.
+std::vector<std::string> MatchingTuples(const StorageEngine& storage,
+                                        const std::vector<PageId>& pages,
+                                        const CompiledPredicate& pred) {
+  std::vector<std::string> out;
+  for (PageId id : pages) {
+    auto page = storage.page_store().Get(id);
+    if (!page.ok()) {
+      out.push_back("<missing page>");
+      continue;
+    }
+    for (int i = 0; i < (*page)->num_tuples(); ++i) {
+      if (pred.Matches((*page)->tuple(i).data(), nullptr)) {
+        out.emplace_back((*page)->tuple(i).data(), (*page)->tuple(i).size());
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Grid-file-marked scans of `ev` for a few users (hot to rare), with the
+/// compiled predicate each prunes for.
+struct GridProbe {
+  PlanNodePtr plan;
+  std::optional<CompiledPredicate> pred;
+};
+
+std::vector<GridProbe> GridProbes(StorageEngine* storage, uint64_t rows) {
+  Optimizer optimizer(&storage->catalog());
+  const int32_t rare = static_cast<int32_t>(SkewedEventUserCount(rows) - 1);
+  std::vector<GridProbe> probes;
+  for (int32_t user : {0, 3, 17, rare}) {
+    auto plan = MakeRestrict(MakeScan("ev"), Eq(Col("user"), Lit(user)));
+    auto opt = optimizer.Optimize(*plan, nullptr);
+    EXPECT_OK(opt.status());
+    if (!opt.ok()) break;
+    EXPECT_EQ((*opt)->child(0).access_path, ScanAccessPath::kGridFile);
+    ExprPtr eq = Eq(Col("user"), Lit(user));
+    EXPECT_OK(eq->Bind(SkewedEventSchema(), nullptr));
+    auto compiled = CompiledPredicate::Compile(*eq, SkewedEventSchema());
+    EXPECT_OK(compiled.status());
+    if (!compiled.ok()) break;
+    probes.push_back({*std::move(opt), *std::move(compiled)});
+  }
+  return probes;
+}
+
+/// For every probe: the pages the grid file keeps at \p snap hold exactly
+/// the matches a full scan of the snapshot's view finds.
+void ExpectPrunedEqualsFull(StorageEngine* storage, const Snapshot& snap,
+                            const std::vector<GridProbe>& probes,
+                            const std::string& where) {
+  auto view = snap.View("ev");
+  ASSERT_OK(view.status());
+  for (const GridProbe& probe : probes) {
+    IndexPruneCounters stats;
+    auto kept = ResolveScanPages(storage, snap, probe.plan->child(0), &stats);
+    ASSERT_OK(kept.status());
+    EXPECT_EQ(stats.gridfile_probes, 1u) << where;
+    EXPECT_EQ(stats.fallback_scans, 0u) << where;
+    EXPECT_EQ(MatchingTuples(*storage, *kept, *probe.pred),
+              MatchingTuples(*storage, view->pages, *probe.pred))
+        << where;
+  }
+}
+
+/// One writer commit on `ev`: appends \p backfill's pages, or, given
+/// \p pred, deletes its matches through the zone-map page filter.
+Status WriteAndCommit(StorageEngine* storage, HeapFile* file,
+                      const std::vector<PageId>& backfill, ExprPtr pred) {
+  if (pred == nullptr) {
+    for (PageId id : backfill) {
+      DFDB_ASSIGN_OR_RETURN(PagePtr page, storage->page_store().Get(id));
+      DFDB_RETURN_IF_ERROR(file->AppendPage(*page));
+    }
+  } else {
+    const Schema& schema = file->schema();
+    DFDB_RETURN_IF_ERROR(pred->Bind(schema, nullptr));
+    DFDB_ASSIGN_OR_RETURN(CompiledPredicate compiled,
+                          CompiledPredicate::Compile(*pred, schema));
+    DFDB_RETURN_IF_ERROR(file->DeleteWhere(
+                                 [&](const TupleView& t) {
+                                   return compiled.Matches(t.raw().data(),
+                                                           nullptr);
+                                 },
+                                 DeletePageFilter(&compiled, schema))
+                             .status());
+  }
+  return storage->SyncStats("ev");
+}
+
+// A seeded run of append and delete commits: at every version the grid
+// file is derived from the previous one (its scales never change), and its
+// pruned scan equals a full scan — also for old snapshots resolved after
+// newer versions, which derives the index backwards.
+TEST(IndexMvccTest, DerivedVersionsMatchFullScan) {
+  constexpr uint64_t kRows = 12000;
+  StorageEngine storage(/*default_page_bytes=*/2000);
+  ASSERT_OK(GenerateSkewedRelation(&storage, "ev", kRows, 7).status());
+  ASSERT_OK(GenerateSkewedRelation(&storage, "ev_in", 400, 8).status());
+  ASSERT_OK(storage.SyncAllStats());
+  ASSERT_OK(storage.CommitRelation("ev"));
+  IndexManager* mgr = GetIndexManager(&storage);
+  ASSERT_OK(mgr->CreateIndex("ev_ud", "ev", {"user", "device"}));
+  ASSERT_OK_AND_ASSIGN(IndexMeta meta, storage.catalog().GetIndex("ev_ud"));
+  const std::vector<GridProbe> probes = GridProbes(&storage, kRows);
+  ASSERT_EQ(probes.size(), 4u);
+
+  auto scales = [&](const Snapshot& snap) {
+    std::vector<std::vector<double>> out;
+    auto view = snap.View("ev");
+    EXPECT_OK(view.status());
+    if (!view.ok()) return out;
+    auto index = mgr->Resolve(meta, view->commit_ts, view->pages);
+    EXPECT_NE(index, nullptr);
+    if (index == nullptr) return out;
+    EXPECT_EQ(index->pages_indexed(), view->pages.size());
+    for (const auto& d : index->dims()) out.push_back(d.boundaries);
+    return out;
+  };
+  std::vector<Snapshot> versions = {storage.CaptureSnapshot()};
+  const auto built_scales = scales(versions[0]);
+
+  ASSERT_OK_AND_ASSIGN(HeapFile * file, storage.GetHeapFile("ev"));
+  ASSERT_OK_AND_ASSIGN(SnapshotView backfill,
+                       storage.CaptureSnapshot().View("ev_in"));
+  Random rng(31);
+  for (int commit = 0; commit < 24; ++commit) {
+    ExprPtr pred;
+    if (!rng.Bernoulli(0.4)) {
+      pred = Eq(Col("device"), Lit(static_cast<int32_t>(rng.Uniform(16))));
+      if (rng.Bernoulli(0.5)) {
+        pred = And(std::move(pred),
+                   Lt(Col("ts"), Lit(static_cast<int64_t>(
+                                     rng.Uniform(kRows)))));
+      }
+    }
+    ASSERT_OK(WriteAndCommit(&storage, file, backfill.pages, std::move(pred)));
+    versions.push_back(storage.CaptureSnapshot());
+    ExpectPrunedEqualsFull(&storage, versions.back(), probes,
+                           "forward, commit " + std::to_string(commit));
+    EXPECT_EQ(scales(versions.back()), built_scales);
+  }
+  // Old snapshots, newest cached version first: each is derived backwards.
+  for (size_t i = versions.size(); i-- > 0;) {
+    ExpectPrunedEqualsFull(&storage, versions[i], probes,
+                           "backward, version " + std::to_string(i));
+  }
+}
+
+// Readers resolve grid-pruned scans at their own snapshots while a writer
+// appends, deletes and commits beside them: every reader's pruned answer
+// equals its snapshot's full scan. Run under tsan via index_test_tsan.
+TEST(IndexMvccTest, ConcurrentDerivedReadsBesideWriter) {
+  constexpr uint64_t kRows = 8000;
+  StorageEngine storage(/*default_page_bytes=*/2000);
+  ASSERT_OK(GenerateSkewedRelation(&storage, "ev", kRows, 9).status());
+  ASSERT_OK(GenerateSkewedRelation(&storage, "ev_in", 300, 10).status());
+  ASSERT_OK(storage.SyncAllStats());
+  ASSERT_OK(storage.CommitRelation("ev"));
+  ASSERT_OK(GetIndexManager(&storage)->CreateIndex("ev_ud", "ev",
+                                                   {"user", "device"}));
+  const std::vector<GridProbe> probes = GridProbes(&storage, kRows);
+  ASSERT_EQ(probes.size(), 4u);
+  ASSERT_OK_AND_ASSIGN(HeapFile * file, storage.GetHeapFile("ev"));
+  ASSERT_OK_AND_ASSIGN(SnapshotView backfill,
+                       storage.CaptureSnapshot().View("ev_in"));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        Snapshot snap = storage.CaptureSnapshot();
+        ExpectPrunedEqualsFull(&storage, snap, probes, "concurrent read");
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int round = 0; round < 12; ++round) {
+    // Interleave: every commit lands while readers are mid-flight.
+    while (reads.load(std::memory_order_relaxed) < round) {
+      std::this_thread::yield();
+    }
+    EXPECT_OK(WriteAndCommit(
+        &storage, file, backfill.pages,
+        round % 2 == 0 ? nullptr
+                       : Eq(Col("device"), Lit(static_cast<int32_t>(round)))));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : readers) th.join();
+  EXPECT_GT(reads.load(), 0);
 }
 
 }  // namespace

@@ -156,6 +156,9 @@ struct QueryState {
   Status status = Status::OK();
   QueryResult result;
   std::atomic<uint64_t> queue_wait_ns{0};
+  /// Submit()'s completion callback. Moved out under `mu` in the same
+  /// critical section that sets `done`, so exactly one completer runs it.
+  std::function<void()> on_done;
 };
 
 /// \brief Per-query execution context, owned by the scheduler from Submit
@@ -264,7 +267,8 @@ class SchedulerImpl {
   const SchedulerOptions& options() const { return options_; }
   const ExecOptions& opts() const { return options_.exec; }
 
-  StatusOr<QueryHandle> Submit(const PlanNode& plan);
+  StatusOr<QueryHandle> Submit(const PlanNode& plan,
+                               std::function<void()> on_done);
   void Start();
   void Shutdown();
   ExecStats AggregateStats() const;
@@ -385,7 +389,9 @@ class SchedulerImpl {
     return mv;
   }
   /// Builds the per-query ExecStats snapshot and fulfills the handle.
-  void FulfillLocked(QueryRuntime* q);
+  /// Returns the query's completion callback; the caller runs it once it
+  /// holds no scheduler lock.
+  std::function<void()> FulfillLocked(QueryRuntime* q);
   /// Destroys a completed query's runtime once no worker frame can still
   /// reference its node graph.
   void MaybeReap(QueryRuntime* q);
@@ -1427,7 +1433,8 @@ void SchedulerImpl::StampSnapshotLocked(QueryRuntime* q) {
   }
 }
 
-StatusOr<QueryHandle> SchedulerImpl::Submit(const PlanNode& plan) {
+StatusOr<QueryHandle> SchedulerImpl::Submit(const PlanNode& plan,
+                                            std::function<void()> on_done) {
   uint64_t qid = 0;
   size_t batch_index = 0;
   {
@@ -1445,6 +1452,7 @@ StatusOr<QueryHandle> SchedulerImpl::Submit(const PlanNode& plan) {
   q->submitted_at = std::chrono::steady_clock::now();
   q->state = std::make_shared<QueryState>();
   q->state->qid = qid;
+  q->state->on_done = std::move(on_done);
   QueryHandle handle(q->state);
 
   bool admitted = false;
@@ -1484,7 +1492,7 @@ StatusOr<QueryHandle> SchedulerImpl::Submit(const PlanNode& plan) {
   return handle;
 }
 
-void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
+std::function<void()> SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   // Per-query snapshot: this query's own work, timed from submission to
   // completion (including any MC queue wait). Pool-wide fault/buffer
   // counters stay zero here.
@@ -1531,6 +1539,7 @@ void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   totals_.work.pushdown += qs.pushdown;
 
   QueryState* state = q->state.get();
+  std::function<void()> on_done;
   {
     std::lock_guard<std::mutex> lock(state->mu);
     state->queue_wait_ns.store(q->queue_wait_ns, std::memory_order_relaxed);
@@ -1544,8 +1553,10 @@ void SchedulerImpl::FulfillLocked(QueryRuntime* q) {
       state->result = std::move(q->result);
     }
     state->done = true;
+    on_done = std::move(state->on_done);
   }
   state->cv.notify_all();
+  return on_done;
 }
 
 void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
@@ -1576,6 +1587,7 @@ void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
     }
   }
   std::vector<QueryRuntime*> to_launch;
+  std::function<void()> on_done;
   {
     std::lock_guard<std::mutex> lock(admit_mu_);
     const auto now = std::chrono::steady_clock::now();
@@ -1604,10 +1616,13 @@ void SchedulerImpl::OnQueryDone(QueryRuntime* q) {
       to_launch.push_back(cand);
     }
     --active_queries_;
-    FulfillLocked(q);
+    on_done = FulfillLocked(q);
     q->completed.store(true, std::memory_order_release);
     if (active_queries_ == 0) drain_cv_.notify_all();
   }
+  // Notify before launching re-admitted queries: the callback is the
+  // caller's wakeup and should not wait behind their setup.
+  if (on_done) on_done();
   for (QueryRuntime* cand : to_launch) {
     InFlightGuard guard(cand);
     LaunchQuery(cand);
@@ -1709,8 +1724,9 @@ void SchedulerImpl::Shutdown() {
   // until the first has joined the workers (callers destroy the scheduler
   // right after Shutdown() returns). Idempotence is preserved — later
   // entrants see shutdown_complete_ and return immediately.
-  std::lock_guard<std::mutex> shutdown_lock(shutdown_serial_mu_);
+  std::unique_lock<std::mutex> shutdown_lock(shutdown_serial_mu_);
   std::vector<std::shared_ptr<QueryState>> cancelled;
+  std::vector<std::function<void()>> callbacks;
   bool join_workers = false;
   {
     std::unique_lock<std::mutex> lock(admit_mu_);
@@ -1757,6 +1773,7 @@ void SchedulerImpl::Shutdown() {
           "query %llu cancelled by scheduler shutdown",
           static_cast<unsigned long long>(state->qid)));
       state->done = true;
+      if (state->on_done) callbacks.push_back(std::move(state->on_done));
     }
     state->cv.notify_all();
   }
@@ -1771,6 +1788,9 @@ void SchedulerImpl::Shutdown() {
     std::lock_guard<std::mutex> lock(admit_mu_);
     shutdown_complete_ = true;
   }
+  // Cancelled queries' callbacks run last, with no scheduler lock held.
+  shutdown_lock.unlock();
+  for (auto& on_done : callbacks) on_done();
 }
 
 // ---------------------------------------------------------------------------
@@ -1882,8 +1902,9 @@ Scheduler::~Scheduler() = default;
 
 const SchedulerOptions& Scheduler::options() const { return impl_->options(); }
 
-StatusOr<QueryHandle> Scheduler::Submit(const PlanNode& plan) {
-  return impl_->Submit(plan);
+StatusOr<QueryHandle> Scheduler::Submit(const PlanNode& plan,
+                                        std::function<void()> on_done) {
+  return impl_->Submit(plan, std::move(on_done));
 }
 
 void Scheduler::Start() { impl_->Start(); }

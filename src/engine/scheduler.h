@@ -25,6 +25,7 @@
 #ifndef DFDB_ENGINE_SCHEDULER_H_
 #define DFDB_ENGINE_SCHEDULER_H_
 
+#include <functional>
 #include <memory>
 
 #include "common/macros.h"
@@ -112,7 +113,24 @@ class Scheduler {
   /// Clones, analyzes, and admits (or queues) one query. Returns an error
   /// only for plans that fail analysis or after Shutdown(); execution
   /// errors are reported through QueryHandle::Wait().
-  StatusOr<QueryHandle> Submit(const PlanNode& plan);
+  ///
+  /// \p on_done, when set, is the query's completion notification — the
+  /// MC hearing about finished work as it finishes, so a caller multiplexing
+  /// many handles need not poll Done(). Contract:
+  /// - called exactly once per successfully submitted query (never when
+  ///   Submit itself returns an error), whether the query succeeds, fails,
+  ///   or is cancelled by Shutdown();
+  /// - called after the handle is complete: Done() is already true and
+  ///   Wait() will not block;
+  /// - called on the thread that completed the query (a pool worker, or
+  ///   the Submit() caller when the plan fails while launching) or that
+  ///   cancelled it (the Shutdown() caller), outside every scheduler lock,
+  ///   so it may call Submit(). It must not call Shutdown() or throw, and
+  ///   should be short: it usually runs on an engine worker.
+  /// Callbacks run by pool workers or by Shutdown() have returned by the
+  /// time Shutdown() returns.
+  StatusOr<QueryHandle> Submit(const PlanNode& plan,
+                               std::function<void()> on_done = nullptr);
 
   /// Starts the worker pool. Idempotent; only meaningful with
   /// SchedulerOptions::defer_worker_start.

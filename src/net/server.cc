@@ -2,11 +2,14 @@
 /// \brief Poll-based event loop: framing, admission, response streaming.
 ///
 /// All socket and frame handling runs on one loop thread; query execution
-/// runs on the Scheduler's worker pool. The loop polls completion by
-/// QueryHandle::Done() — handles are cheap shared-state probes — so no
-/// extra thread per request is needed and Submit() is only ever called
-/// from the loop thread while Wait() is only called once Done() is true
-/// (i.e. it never blocks the loop).
+/// runs on the Scheduler's worker pool. Every query is submitted with a
+/// completion callback that writes the loop's eventfd, so a finished query
+/// wakes poll() at once — the MC hears about finished work as it finishes
+/// (Section 4.0) — and the loop then sweeps handles by Done(). Submit() is
+/// only ever called from the loop thread, and Wait() only once Done() is
+/// true, so it never blocks the loop. With nothing to do, poll() sleeps
+/// until the nearest live request deadline, capped at 100 ms (10 ms while
+/// draining); it never ticks just to look for completions.
 
 #include "net/server.h"
 
@@ -16,6 +19,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -182,11 +186,19 @@ Status Server::Start() {
                     &bound_len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
-  if (!SetNonBlocking(listen_fd_) || ::pipe(wake_fds_) != 0 ||
-      !SetNonBlocking(wake_fds_[0])) {
+  if (!SetNonBlocking(listen_fd_)) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Errno("server setup");
+  }
+  // Non-blocking on both sides: a completion callback writing from an
+  // engine worker must never stall that worker.
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    Status s = Errno("eventfd");
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    return s;
   }
 
   started_ = true;
@@ -195,10 +207,11 @@ Status Server::Start() {
 }
 
 void Server::Wake() {
-  if (wake_fds_[1] >= 0) {
-    const char byte = 'w';
-    // Best effort: a full pipe already guarantees a pending wakeup.
-    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  if (wake_fd_ >= 0) {
+    const uint64_t one = 1;
+    // Best effort: EAGAIN means the counter is saturated, which already
+    // guarantees a pending wakeup.
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 }
 
@@ -211,12 +224,12 @@ void Server::Stop() {
     loop_thread_.join();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  for (int i = 0; i < 2; ++i) {
-    if (wake_fds_[i] >= 0) ::close(wake_fds_[i]);
-  }
   listen_fd_ = -1;
-  wake_fds_[0] = wake_fds_[1] = -1;
+  // Shutdown cancels queued queries and joins the workers, running every
+  // outstanding completion callback; only then may the fd they write go.
   scheduler_.Shutdown();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+  wake_fd_ = -1;
   stopped_ = true;
 }
 
@@ -235,6 +248,7 @@ void Server::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   registry->Set("net.bytes_in", counters_.bytes_in.load());
   registry->Set("net.bytes_out", counters_.bytes_out.load());
   registry->Set("net.pings", counters_.pings.load());
+  registry->Set("net.loop_wakeups", counters_.loop_wakeups.load());
   registry->Set("net.exchange.fragments", counters_.fragments.load());
   registry->Set("net.exchange.fragment_errors",
                 counters_.fragment_errors.load());
@@ -357,7 +371,7 @@ void Server::Loop() {
                  optimized.status().ToString());
       return;
     }
-    auto handle = scheduler_.Submit(**optimized);
+    auto handle = scheduler_.Submit(**optimized, [this] { Wake(); });
     if (!handle.ok()) {
       const WireError code = StatusToWireError(handle.status());
       if (code == WireError::kInvalidRequest) {
@@ -411,7 +425,7 @@ void Server::Loop() {
       counters_.invalid_requests.fetch_add(1, std::memory_order_relaxed);
       return fail(optimized.status());
     }
-    auto handle = scheduler_.Submit(**optimized);
+    auto handle = scheduler_.Submit(**optimized, [this] { Wake(); });
     if (!handle.ok()) return fail(handle.status());
     LoopState::InFlight req;
     req.conn_id = conn.id;
@@ -921,7 +935,7 @@ void Server::Loop() {
       pfds.push_back(pollfd{listen_fd_, POLLIN, 0});
       pfd_conn.push_back(0);
     }
-    pfds.push_back(pollfd{wake_fds_[0], POLLIN, 0});
+    pfds.push_back(pollfd{wake_fd_, POLLIN, 0});
     pfd_conn.push_back(0);
     for (auto& [id, conn] : state.conns) {
       if (conn.dead) continue;
@@ -931,9 +945,19 @@ void Server::Loop() {
       pfd_conn.push_back(id);
     }
 
-    const bool busy = !state.inflight.empty();
-    const int timeout_ms = busy ? 1 : (draining ? 10 : 100);
+    // Completions arrive through the wake fd, so the only timer the loop
+    // needs is the nearest deadline a client is still waiting on.
+    int timeout_ms = draining ? 10 : 100;
+    const auto now = SteadyClock::now();
+    for (const auto& req : state.inflight) {
+      if (req.orphaned || !req.has_deadline) continue;
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(req.deadline - now)
+              .count();
+      timeout_ms = static_cast<int>(std::clamp<int64_t>(left, 1, timeout_ms));
+    }
     const int ready = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    counters_.loop_wakeups.fetch_add(1, std::memory_order_relaxed);
     if (ready < 0 && errno != EINTR) {
       DFDB_LOG(Error) << "server poll failed: " << std::strerror(errno);
       break;
@@ -942,10 +966,9 @@ void Server::Loop() {
     for (size_t i = 0; i < pfds.size(); ++i) {
       const pollfd& p = pfds[i];
       if (p.revents == 0) continue;
-      if (p.fd == wake_fds_[0]) {
-        char drain[64];
-        while (::read(wake_fds_[0], drain, sizeof(drain)) > 0) {
-        }
+      if (p.fd == wake_fd_) {
+        uint64_t count = 0;  // One read resets the eventfd counter.
+        [[maybe_unused]] ssize_t n = ::read(wake_fd_, &count, sizeof(count));
         continue;
       }
       if (!draining && p.fd == listen_fd_) {

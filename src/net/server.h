@@ -95,6 +95,9 @@ struct ServerCounters {
   std::atomic<uint64_t> bytes_in{0};
   std::atomic<uint64_t> bytes_out{0};
   std::atomic<uint64_t> pings{0};
+  /// Event-loop poll() returns: one per loop iteration. A loop that sleeps
+  /// until something happens keeps this near the number of events.
+  std::atomic<uint64_t> loop_wakeups{0};
 
   // Distributed fragment execution, exported as net.exchange.*.
   std::atomic<uint64_t> fragments{0};          ///< kFragment frames accepted.
@@ -158,7 +161,10 @@ class Server {
   ServerCounters counters_;
 
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: Stop() wakes the poll loop.
+  /// Non-blocking eventfd: Stop() and query completions (written from
+  /// engine workers) wake the poll loop. Closed only after the scheduler
+  /// has shut down, so no completion callback can outlive it.
+  int wake_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> active_connections_{0};

@@ -356,6 +356,64 @@ TEST_F(NetServerTest, DeadlineExpiresDeterministically) {
   EXPECT_EQ(server.counters().deadline_expired.load(), 1u);
   // The connection survives a deadline miss.
   EXPECT_OK(client.Ping());
+
+  // Two pipelined requests, the later deadline sent first. The loop has no
+  // periodic tick: only the timeout derived from the nearest deadline can
+  // wake it, so the 30 ms one must still be answered first, and both well
+  // before the 100 ms idle cap could add up to anything near a second.
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+  QueryRequest late;
+  late.text = "restrict(alpha, k1000 < 100)";
+  late.deadline_ms = 120;
+  QueryRequest early = late;
+  early.deadline_ms = 30;
+  // Each request id is its deadline in ms.
+  const auto sent = std::chrono::steady_clock::now();
+  conn.Send(EncodeQueryFrame(/*request_id=*/120, late) +
+            EncodeQueryFrame(/*request_id=*/30, early));
+  std::vector<uint32_t> order;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(Frame frame, conn.ReadFrame());
+    const auto elapsed = std::chrono::steady_clock::now() - sent;
+    ASSERT_EQ(frame.header.opcode, static_cast<uint8_t>(Opcode::kError));
+    ASSERT_OK_AND_ASSIGN(ErrorMessage error, DecodeError(Slice(frame.body)));
+    EXPECT_EQ(error.code, WireError::kDeadlineExceeded) << error.message;
+    EXPECT_GE(elapsed, std::chrono::milliseconds(frame.header.request_id));
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+    order.push_back(frame.header.request_id);
+  }
+  EXPECT_EQ(order, (std::vector<uint32_t>{30, 120}));
+  EXPECT_EQ(server.counters().deadline_expired.load(), 3u);
+  server.Stop();
+}
+
+TEST_F(NetServerTest, LoopSleepsWhileQueryRuns) {
+  // Frozen engine, one in-flight query without a deadline: nothing can
+  // happen, so the loop must sleep on its idle cap (100 ms) instead of
+  // ticking to look for a completion.
+  ServerOptions options = Options();
+  options.scheduler.defer_worker_start = true;
+  Server server(storage_.get(), options);
+  ASSERT_OK(server.Start());
+  {
+    RawConn conn(server.port());
+    ASSERT_TRUE(conn.connected());
+    QueryRequest q;
+    q.text = "restrict(alpha, k1000 < 100)";
+    conn.Send(EncodeQueryFrame(1, q));
+    for (int i = 0; i < 200 && server.counters().requests.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(server.counters().requests.load(), 1u);
+    const uint64_t before = server.counters().loop_wakeups.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const uint64_t wakeups = server.counters().loop_wakeups.load() - before;
+    EXPECT_LT(wakeups, 20u);
+    obs::MetricsRegistry registry;
+    server.SnapshotMetrics(&registry);
+    EXPECT_GE(registry.Get("net.loop_wakeups").value_or(0), wakeups);
+  }  // Disconnect orphans the frozen query so Stop() can drain.
   server.Stop();
 }
 

@@ -1,12 +1,15 @@
 /// \file scheduler_test.cc
 /// \brief Tests for the resident Scheduler: concurrent Submit, MC admission,
-/// deterministic deferred-start replay, and shutdown semantics.
+/// deterministic deferred-start replay, shutdown semantics, and completion
+/// callbacks.
 
 #include "engine/scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -410,6 +413,110 @@ TEST_F(SchedulerTest, QueueWaitIsMeasuredForQueuedQueries) {
     EXPECT_EQ(h.queue_wait_ns(), r.stats().sched_queue_wait_ns);
   }
   scheduler.Shutdown();
+}
+
+TEST_F(SchedulerTest, CompletionCallbackRunsOncePerQuery) {
+  // Successful queries: one callback each, even with a busy shared pool.
+  {
+    Scheduler scheduler(storage_.get(), Options(3));
+    const auto plans = ReadOnlyPlans();
+    std::vector<std::atomic<int>> calls(plans.size() * 3);
+    std::vector<QueryHandle> handles;
+    for (size_t i = 0; i < calls.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(
+          QueryHandle h,
+          scheduler.Submit(*plans[i % plans.size()],
+                           [&calls, i] { calls[i].fetch_add(1); }));
+      handles.push_back(std::move(h));
+    }
+    for (auto& h : handles) ASSERT_OK(h.Wait().status());
+    // Wait() may return before the callback has: Shutdown joins the workers
+    // that run them.
+    scheduler.Shutdown();
+    for (const auto& c : calls) EXPECT_EQ(c.load(), 1);
+  }
+  // Queries cancelled by Shutdown() of a never-started scheduler (as in
+  // ShutdownCancelsQueuedQueries): one callback each, on the caller.
+  {
+    SchedulerOptions options;
+    options.exec = Options(2);
+    options.defer_worker_start = true;
+    Scheduler scheduler(storage_.get(), options);
+    auto writer = MakeAppend(
+        MakeRestrict(MakeScan("beta"), Lt(Col("k1000"), Lit(50))), "alpha");
+    std::vector<std::atomic<int>> calls(4);
+    for (size_t i = 0; i < calls.size(); ++i) {
+      ASSERT_OK(scheduler.Submit(*writer, [&calls, i] {
+                          calls[i].fetch_add(1);
+                        }).status());
+    }
+    scheduler.Shutdown();
+    for (const auto& c : calls) EXPECT_EQ(c.load(), 1);
+    scheduler.Shutdown();  // Idempotent: no second round of callbacks.
+    for (const auto& c : calls) EXPECT_EQ(c.load(), 1);
+  }
+}
+
+TEST_F(SchedulerTest, CompletionCallbackSeesDoneHandle) {
+  // Deferred start publishes each handle before any worker can complete
+  // its query, so the callbacks can inspect them race-free.
+  SchedulerOptions options;
+  options.exec = Options(2);
+  options.defer_worker_start = true;
+  Scheduler scheduler(storage_.get(), options);
+  auto reader = MakeRestrict(MakeScan("alpha"), Lt(Col("k1000"), Lit(300)));
+  auto writer = MakeAppend(
+      MakeRestrict(MakeScan("beta"), Lt(Col("k1000"), Lit(50))), "alpha");
+  constexpr int kQueries = 4;  // One reader, then three conflicting writers.
+  std::vector<QueryHandle> handles(kQueries);
+  std::vector<std::atomic<int>> done_seen(kQueries);
+  for (int i = 0; i < kQueries; ++i) {
+    const PlanNode& plan = i == 0 ? *reader : *writer;
+    ASSERT_OK_AND_ASSIGN(handles[i],
+                         scheduler.Submit(plan, [&handles, &done_seen, i] {
+                           done_seen[i].store(handles[i].Done() ? 1 : -1);
+                         }));
+  }
+  scheduler.Start();
+  for (auto& h : handles) ASSERT_OK(h.Wait().status());
+  scheduler.Shutdown();
+  for (const auto& seen : done_seen) EXPECT_EQ(seen.load(), 1);
+}
+
+TEST_F(SchedulerTest, CompletionCallbackMaySubmitWithoutDeadlock) {
+  // A callback that submits again must not deadlock: it runs outside every
+  // scheduler lock, including on the Shutdown() cancellation path.
+  Scheduler scheduler(storage_.get(), Options(2));
+  std::promise<void> nested_done;
+  std::atomic<int> nested_submitted{0};
+  auto plan = MakeRestrict(MakeScan("beta"), Lt(Col("k1000"), Lit(500)));
+  ASSERT_OK(scheduler
+                .Submit(*plan,
+                        [&] {
+                          auto nested = scheduler.Submit(
+                              *plan, [&] { nested_done.set_value(); });
+                          if (nested.ok()) nested_submitted.fetch_add(1);
+                        })
+                .status());
+  ASSERT_EQ(nested_done.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(nested_submitted.load(), 1);
+  scheduler.Shutdown();
+
+  SchedulerOptions options;
+  options.exec = Options(1);
+  options.defer_worker_start = true;
+  Scheduler frozen(storage_.get(), options);
+  std::atomic<bool> resubmit_refused{false};
+  ASSERT_OK(frozen
+                .Submit(*plan,
+                        [&] {
+                          resubmit_refused.store(
+                              frozen.Submit(*plan).status().IsUnavailable());
+                        })
+                .status());
+  frozen.Shutdown();
+  EXPECT_TRUE(resubmit_refused.load());
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 ///  - **Work scale-out.** `speedup_compute_x` divides the single-worker
 ///    engine task count by the busiest worker's task count at N workers —
 ///    the critical-path compute reduction that becomes wall-clock speedup
-///    on real hardware (this container may have one core, so wall time
-///    alone cannot show scale-out; it is reported honestly alongside).
+///    on real hardware (here every worker shares one 4-core host with the
+///    coordinator hub, so wall time alone cannot show scale-out; it is
+///    reported honestly alongside).
 ///    The bench fails below --min-speedup (default 2 at 3 workers).
 ///  - **Ring comparability.** The same query mix runs on the simulator at
 ///    matching IP counts; the simulated outer-ring bandwidth (Fig 4.2's

@@ -39,6 +39,7 @@
 #include "common/statusor.h"
 #include "dist/fragment.h"
 #include "net/client.h"
+#include "obs/counter_family.h"
 #include "obs/metrics.h"
 
 namespace dfdb {
@@ -63,22 +64,28 @@ struct CoordinatorOptions {
 };
 
 /// \brief Monotonic dist.* counters across the coordinator's lifetime.
-struct DistCounters {
-  std::atomic<uint64_t> queries{0};
-  std::atomic<uint64_t> fragments_dispatched{0};
-  std::atomic<uint64_t> batches_routed{0};
-  std::atomic<uint64_t> bytes_shuffled{0};  ///< Tuple payload through the star.
-  std::atomic<uint64_t> rows_returned{0};
-  std::atomic<uint64_t> repartitions{0};  ///< kPartition streams planned.
-  std::atomic<uint64_t> broadcasts{0};    ///< kBroadcast streams planned.
-  std::atomic<uint64_t> gathers{0};       ///< Non-root kGather streams.
-  std::atomic<uint64_t> credit_waits{0};  ///< Sender stalls on input credit.
-  std::atomic<uint64_t> errors{0};
-  /// Wall seconds spent inside Execute() routing shuffles (microsecond
-  /// resolution, accumulated); with bytes_shuffled this yields the
-  /// dist.shuffle.mbit_s gauge mirroring the simulator's Fig 4.2 ring.
-  std::atomic<uint64_t> shuffle_micros{0};
-};
+#define DFDB_DIST_COUNTERS(X)                                              \
+  X(queries, "queries")                                                    \
+  X(fragments_dispatched, "fragments")                                     \
+  X(batches_routed, "batches_routed")                                      \
+  /* Tuple payload through the star. */                                    \
+  X(bytes_shuffled, "bytes_shuffled")                                      \
+  X(rows_returned, "rows_returned")                                        \
+  /* kPartition streams planned. */                                        \
+  X(repartitions, "repartitions")                                          \
+  /* kBroadcast streams planned. */                                        \
+  X(broadcasts, "broadcasts")                                              \
+  /* Non-root kGather streams. */                                          \
+  X(gathers, "gathers")                                                    \
+  /* Sender stalls on input credit. */                                     \
+  X(credit_waits, "credit_waits")                                          \
+  X(errors, "errors")                                                      \
+  /* Wall seconds spent inside Execute() routing shuffles (microsecond */  \
+  /* resolution, accumulated); with bytes_shuffled this yields the */      \
+  /* dist.shuffle.mbit_s gauge mirroring the simulator's Fig 4.2 ring. */  \
+  X(shuffle_micros, "shuffle_micros")
+DFDB_COUNTERS(DistCountersSnapshot, DFDB_DIST_COUNTERS);
+DFDB_ATOMIC_COUNTERS(DistCounters, DistCountersSnapshot, DFDB_DIST_COUNTERS);
 
 /// \brief Plans and executes queries across a fixed set of workers.
 ///

@@ -5,50 +5,26 @@
 
 namespace dfdb {
 
+EngineMvccCounters MvccCountersOf(const MvccStats& mvcc) {
+  EngineMvccCounters c;
+  c.mvcc_snapshots_open = mvcc.snapshots_open;
+  c.mvcc_snapshots_captured = mvcc.snapshots_captured;
+  c.mvcc_versions_live = mvcc.versions_live;
+  c.mvcc_pages_copied = mvcc.pages_copied;
+  c.mvcc_gc_reclaimed = mvcc.gc_reclaimed;
+  c.mvcc_commits = mvcc.commits;
+  return c;
+}
+
 std::string PlanCountersToString(const PipelineCounters& pipeline,
                                  const IndexPruneCounters& index,
                                  const PushdownCounters& pushdown,
                                  const KernelStatsSnapshot& kernel) {
   std::string out;
-  if (pipeline.fused_edges > 0 || pipeline.runtime_fallbacks > 0) {
-    out += StrFormat(
-        " | pipeline: fused=%llu materialized=%llu elided=%llu "
-        "fused_pages=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(pipeline.fused_edges),
-        static_cast<unsigned long long>(pipeline.materialized_edges),
-        static_cast<unsigned long long>(pipeline.pages_elided),
-        static_cast<unsigned long long>(pipeline.fused_pages),
-        static_cast<unsigned long long>(pipeline.runtime_fallbacks));
-  }
-  if (index.any()) {
-    out += StrFormat(
-        " | index: pruned=%llu zonemap=%llu probes=%llu fallbacks=%llu",
-        static_cast<unsigned long long>(index.pages_pruned),
-        static_cast<unsigned long long>(index.zonemap_hits),
-        static_cast<unsigned long long>(index.gridfile_probes),
-        static_cast<unsigned long long>(index.fallback_scans));
-  }
-  if (pushdown.any()) {
-    out += StrFormat(
-        " | pushdown: pages=%llu in=%llu out=%llu elided=%s fallbacks=%llu",
-        static_cast<unsigned long long>(pushdown.pages_filtered),
-        static_cast<unsigned long long>(pushdown.tuples_in),
-        static_cast<unsigned long long>(pushdown.tuples_out),
-        HumanBytes(static_cast<int64_t>(pushdown.bytes_elided)).c_str(),
-        static_cast<unsigned long long>(pushdown.fallbacks));
-  }
-  if (kernel.compiled_pages > 0 || kernel.interpreted_pages > 0 ||
-      kernel.hash_joins > 0 || kernel.nested_joins > 0) {
-    out += StrFormat(
-        " | kernel: compiled=%llu interpreted=%llu fallbacks=%llu "
-        "hash_joins=%llu nested_joins=%llu collisions=%llu",
-        static_cast<unsigned long long>(kernel.compiled_pages),
-        static_cast<unsigned long long>(kernel.interpreted_pages),
-        static_cast<unsigned long long>(kernel.compile_fallbacks),
-        static_cast<unsigned long long>(kernel.hash_joins),
-        static_cast<unsigned long long>(kernel.nested_joins),
-        static_cast<unsigned long long>(kernel.hash_build_collisions));
-  }
+  obs::AppendCounters(&out, "pipeline", pipeline);
+  obs::AppendCounters(&out, "index", index);
+  obs::AppendCounters(&out, "pushdown", pushdown);
+  obs::AppendCounters(&out, "kernel", kernel);
   return out;
 }
 
@@ -85,34 +61,15 @@ std::string ExecStats::ToString() const {
 }
 
 void RegisterMetrics(const ExecStats& stats, obs::MetricsRegistry* registry) {
-  registry->Set("engine.tasks_executed", stats.tasks_executed);
-  registry->Set("engine.packets", stats.packets);
-  registry->Set("engine.arbitration_bytes", stats.arbitration_bytes);
-  registry->Set("engine.distribution_bytes", stats.distribution_bytes);
-  registry->Set("engine.overhead_bytes", stats.overhead_bytes);
+  obs::RegisterCounters<EngineWorkCounters>(stats, "engine.", registry);
+  obs::RegisterCounters<EngineFaultCounters>(stats, "engine.", registry);
+  obs::RegisterCounters<EngineSchedCounters>(stats, "engine.", registry);
+  obs::RegisterCounters<EngineMvccCounters>(stats, "engine.", registry);
   registry->Set("engine.network_bytes", stats.network_bytes());
-  registry->Set("engine.pages_produced", stats.pages_produced);
-  registry->Set("engine.tuples_produced", stats.tuples_produced);
-  registry->Set("engine.sched.admitted", stats.sched_admitted);
-  registry->Set("engine.sched.queued", stats.sched_queued);
-  registry->Set("engine.sched.requeues", stats.sched_requeues);
-  registry->Set("engine.sched.queue_wait_ns", stats.sched_queue_wait_ns);
-  registry->Set("engine.sched.skips", stats.sched_skips);
-  registry->Set("engine.mvcc.snapshots_open", stats.mvcc_snapshots_open);
-  registry->Set("engine.mvcc.snapshots_captured",
-                stats.mvcc_snapshots_captured);
-  registry->Set("engine.mvcc.versions_live", stats.mvcc_versions_live);
-  registry->Set("engine.mvcc.pages_copied", stats.mvcc_pages_copied);
-  registry->Set("engine.mvcc.gc_reclaimed", stats.mvcc_gc_reclaimed);
-  registry->Set("engine.mvcc.commits", stats.mvcc_commits);
-  RegisterPipelineMetrics(stats.pipeline, "engine.pipeline.", registry);
-  RegisterKernelMetrics(stats.kernel, "engine.kernel.", registry);
-  RegisterIndexMetrics(stats.index, "engine.index.", registry);
-  RegisterPushdownMetrics(stats.pushdown, "engine.pushdown.", registry);
-  registry->Set("engine.faults.injected", stats.faults_injected);
-  registry->Set("engine.faults.workers_abandoned", stats.workers_abandoned);
-  registry->Set("engine.faults.redispatched_tasks", stats.redispatched_tasks);
-  registry->Set("engine.faults.poison_dropped", stats.poison_dropped);
+  obs::RegisterCounters(stats.pipeline, "engine.pipeline.", registry);
+  obs::RegisterCounters(stats.kernel, "engine.kernel.", registry);
+  obs::RegisterCounters(stats.index, "engine.index.", registry);
+  obs::RegisterCounters(stats.pushdown, "engine.pushdown.", registry);
   RegisterMetrics(stats.buffer, registry);
 }
 

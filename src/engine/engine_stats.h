@@ -4,47 +4,92 @@
 #ifndef DFDB_ENGINE_ENGINE_STATS_H_
 #define DFDB_ENGINE_ENGINE_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "index/index_stats.h"
+#include "obs/counter_family.h"
 #include "obs/run_report.h"
 #include "operators/kernels.h"
 #include "ra/physical_plan.h"
 #include "storage/buffer_manager.h"
 #include "storage/pushdown.h"
+#include "storage/snapshot.h"
 
 namespace dfdb {
 
-/// \brief Thread-safe counters updated by worker threads.
-///
-/// The byte counters correspond to the paper's network-bandwidth analysis:
-/// every instruction packet's operand bytes pass the "arbitration" path to a
-/// processor; every result page passes the "distribution" path back.
-struct EngineCounters {
-  std::atomic<uint64_t> tasks_executed{0};
-  /// Instruction packets dispatched (a join outer-page task counts once per
-  /// inner page it consumes, since each consumption is one broadcast
-  /// delivery).
-  std::atomic<uint64_t> packets{0};
-  /// Operand payload bytes moved memory -> processor.
-  std::atomic<uint64_t> arbitration_bytes{0};
-  /// Result payload bytes moved processor -> memory.
-  std::atomic<uint64_t> distribution_bytes{0};
-  /// Packet-overhead bytes (packets * overhead).
-  std::atomic<uint64_t> overhead_bytes{0};
-  std::atomic<uint64_t> pages_produced{0};
-  std::atomic<uint64_t> tuples_produced{0};
-  // Fault injection (EngineFaultPlan).
-  std::atomic<uint64_t> faults_injected{0};
-  std::atomic<uint64_t> workers_abandoned{0};
-  /// Tasks pushed back to the queue by an abandoning worker and later
-  /// completed by a survivor.
-  std::atomic<uint64_t> redispatched_tasks{0};
-  /// Poisoned packets detected and dropped by workers.
-  std::atomic<uint64_t> poison_dropped{0};
+/// \brief Per-query work counters (engine.*). The byte counters correspond
+/// to the paper's network-bandwidth analysis: every instruction packet's
+/// operand bytes pass the "arbitration" path to a processor; every result
+/// page passes the "distribution" path back.
+#define DFDB_ENGINE_WORK_COUNTERS(X)                                       \
+  X(tasks_executed, "tasks_executed")                                      \
+  /* Instruction packets dispatched (a join outer-page task counts once */ \
+  /* per inner page it consumes, since each consumption is one */          \
+  /* broadcast delivery). */                                               \
+  X(packets, "packets")                                                    \
+  /* Operand payload bytes moved memory -> processor. */                   \
+  X(arbitration_bytes, "arbitration_bytes")                                \
+  /* Result payload bytes moved processor -> memory. */                    \
+  X(distribution_bytes, "distribution_bytes")                              \
+  /* Packet-overhead bytes (packets * overhead). */                        \
+  X(overhead_bytes, "overhead_bytes")                                      \
+  X(pages_produced, "pages_produced")                                      \
+  X(tuples_produced, "tuples_produced")
+DFDB_COUNTERS(EngineWorkCounters, DFDB_ENGINE_WORK_COUNTERS);
+DFDB_ATOMIC_COUNTERS(EngineWorkStats, EngineWorkCounters,
+                     DFDB_ENGINE_WORK_COUNTERS);
+
+/// \brief Pool-wide fault-injection outcomes (engine.faults.*,
+/// EngineFaultPlan).
+#define DFDB_ENGINE_FAULT_COUNTERS(X)                                      \
+  X(faults_injected, "faults.injected")                                    \
+  X(workers_abandoned, "faults.workers_abandoned")                         \
+  /* Tasks pushed back to the queue by an abandoning worker and later */   \
+  /* completed by a survivor. */                                           \
+  X(redispatched_tasks, "faults.redispatched_tasks")                       \
+  /* Poisoned packets detected and dropped by workers. */                  \
+  X(poison_dropped, "faults.poison_dropped")
+DFDB_COUNTERS(EngineFaultCounters, DFDB_ENGINE_FAULT_COUNTERS);
+DFDB_ATOMIC_COUNTERS(EngineFaultStats, EngineFaultCounters,
+                     DFDB_ENGINE_FAULT_COUNTERS);
+
+/// \brief MC scheduler admission outcomes (engine.sched.*). Per-query
+/// snapshots carry this query's own values (admitted/queued are then
+/// 0-or-1); batch and scheduler aggregates carry totals. queue_wait_ns is
+/// exactly 0 for queries admitted without waiting, so seeded conflict-free
+/// runs stay deterministic.
+#define DFDB_ENGINE_SCHED_COUNTERS(X)                                      \
+  /* Queries admitted immediately. */                                      \
+  X(sched_admitted, "sched.admitted")                                      \
+  /* Queries that waited in the MC queue. */                               \
+  X(sched_queued, "sched.queued")                                          \
+  /* Failed re-admission probes. */                                        \
+  X(sched_requeues, "sched.requeues")                                      \
+  /* Time spent waiting for admission. */                                  \
+  X(sched_queue_wait_ns, "sched.queue_wait_ns")                            \
+  /* Conflicting bypasses while waiting. */                                \
+  X(sched_skips, "sched.skips")
+DFDB_COUNTERS(EngineSchedCounters, DFDB_ENGINE_SCHED_COUNTERS);
+
+/// \brief MVCC snapshot-read outcomes (engine.mvcc.*): the storage-wide
+/// MvccStats observed at a query's completion (per-query snapshots) or now
+/// (scheduler aggregates).
+#define DFDB_ENGINE_MVCC_COUNTERS(X)                                       \
+  X(mvcc_snapshots_open, "mvcc.snapshots_open")                            \
+  X(mvcc_snapshots_captured, "mvcc.snapshots_captured")                    \
+  X(mvcc_versions_live, "mvcc.versions_live")                              \
+  X(mvcc_pages_copied, "mvcc.pages_copied")                                \
+  X(mvcc_gc_reclaimed, "mvcc.gc_reclaimed")                                \
+  X(mvcc_commits, "mvcc.commits")
+DFDB_COUNTERS(EngineMvccCounters, DFDB_ENGINE_MVCC_COUNTERS);
+
+/// The engine.mvcc.* view of \p mvcc.
+EngineMvccCounters MvccCountersOf(const MvccStats& mvcc);
+
+/// \brief Thread-safe per-query counters updated by worker threads.
+struct EngineCounters : EngineWorkStats {
   /// Pipeline-fusion outcomes (engine.pipeline.*). Edges are counted once
   /// per query at task-build time; pages as the fused chains run.
   PipelineStats pipeline;
@@ -59,44 +104,16 @@ struct EngineCounters {
 /// \brief Immutable snapshot of one query (or batch) execution.
 ///
 /// Per-query snapshots ride on QueryResult::stats(); the batch aggregate is
-/// returned through the `batch_stats` out-parameter of
-/// Executor::Execute/ExecuteBatch. Fault counters and buffer traffic are
-/// pool-wide, so they appear only in the batch aggregate (zero in per-query
-/// snapshots).
-struct ExecStats {
+/// returned through the `batch_stats` out-parameter of RunQuery/RunBatch.
+/// Fault counters and buffer traffic are pool-wide, so they appear only in
+/// the batch aggregate (zero in per-query snapshots).
+struct ExecStats : EngineWorkCounters,
+                   EngineFaultCounters,
+                   EngineSchedCounters,
+                   EngineMvccCounters {
   double wall_seconds = 0;
-  uint64_t tasks_executed = 0;
-  uint64_t packets = 0;
-  uint64_t arbitration_bytes = 0;
-  uint64_t distribution_bytes = 0;
-  uint64_t overhead_bytes = 0;
-  uint64_t pages_produced = 0;
-  uint64_t tuples_produced = 0;
-  uint64_t faults_injected = 0;
-  uint64_t workers_abandoned = 0;
-  uint64_t redispatched_tasks = 0;
-  uint64_t poison_dropped = 0;
   /// Pipeline-fusion outcomes (engine.pipeline.*).
   PipelineCounters pipeline;
-  // MC scheduler admission outcomes (engine.sched.*). Per-query snapshots
-  // carry this query's own values (admitted/queued are then 0-or-1); batch
-  // and scheduler aggregates carry totals. queue_wait_ns is exactly 0 for
-  // queries admitted without waiting, so seeded conflict-free runs stay
-  // deterministic.
-  uint64_t sched_admitted = 0;      ///< Queries admitted immediately.
-  uint64_t sched_queued = 0;        ///< Queries that waited in the MC queue.
-  uint64_t sched_requeues = 0;      ///< Failed re-admission probes.
-  uint64_t sched_queue_wait_ns = 0; ///< Time spent waiting for admission.
-  uint64_t sched_skips = 0;         ///< Conflicting bypasses while waiting.
-  // MVCC snapshot-read outcomes (engine.mvcc.*). Per-query snapshots carry
-  // the storage-wide counter values observed at completion; scheduler
-  // aggregates carry the live storage-wide values.
-  uint64_t mvcc_snapshots_open = 0;     ///< Live snapshots right now.
-  uint64_t mvcc_snapshots_captured = 0; ///< Snapshots ever captured.
-  uint64_t mvcc_versions_live = 0;      ///< Version records across files.
-  uint64_t mvcc_pages_copied = 0;       ///< Pages rewritten copy-on-write.
-  uint64_t mvcc_gc_reclaimed = 0;       ///< Retired pages freed by GC.
-  uint64_t mvcc_commits = 0;            ///< Versions installed (commits).
   /// Kernel-compilation outcomes (engine.kernel.*): how many pages ran the
   /// compiled program vs the interpreted Expr tree, how often compilation
   /// was refused, and which join path page pairs took.

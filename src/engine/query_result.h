@@ -35,9 +35,8 @@ class QueryResult {
   bool empty() const { return num_tuples_ == 0; }
 
   /// Per-query execution statistics, attached by the engine when the query
-  /// completes (replaces the old Executor::last_stats() side-channel, which
-  /// raced under concurrent callers and could not attribute work to a query
-  /// within a batch). Default-constructed for results the simulator builds.
+  /// completes, so work is attributed to its query even within a batch.
+  /// Default-constructed for results the simulator builds.
   const ExecStats& stats() const { return stats_; }
   void set_stats(ExecStats stats) { stats_ = std::move(stats); }
 

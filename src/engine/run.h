@@ -4,9 +4,9 @@
 /// RunQuery/RunBatch stand up a private Scheduler per call — workers run to
 /// completion and tear down, so wall-clock measurements are self-contained
 /// and batches replay deterministically with one worker (the scheduler is
-/// started only after every query has been submitted and stamped). They
-/// supersede Executor::Execute/ExecuteBatch; long-lived multi-user services
-/// should hold a resident Scheduler and call Submit() directly.
+/// started only after every query has been submitted and stamped).
+/// Long-lived multi-user services should hold a resident Scheduler and call
+/// Submit() directly.
 
 #ifndef DFDB_ENGINE_RUN_H_
 #define DFDB_ENGINE_RUN_H_

@@ -1,7 +1,6 @@
 /// \file scheduler.cc
 /// \brief Resident scheduler: persistent worker pool, MC admission queue,
-/// and the dataflow execution core (moved here from executor.cc, which is
-/// now a thin compatibility wrapper).
+/// and the dataflow execution core.
 
 #include "engine/scheduler.h"
 
@@ -68,8 +67,9 @@ struct NodeState {
 
   // Static (post-analysis) configuration.
   int num_inputs = 0;
-  std::vector<int> project_indices;  // kProject.
-  HeapFile* target_file = nullptr;   // kAppend / kDelete.
+  /// kProject: the PhysicalPlan's input column per output column.
+  const std::vector<int>* project_indices = nullptr;
+  HeapFile* target_file = nullptr;  // kAppend / kDelete.
   /// Programs from the query's PhysicalPlan. compiled_pred (kRestrict /
   /// kDelete) and compiled_join (kJoin) are null when compilation was
   /// refused and the node interprets per tuple. pushdown_pred (kScan on a
@@ -249,11 +249,11 @@ class SchedulerImpl {
     // any query's tasks: workers detect the bad checksum and drop them.
     for (int i = 0; i < std::max(0, options_.exec.fault_plan.poison_packets);
          ++i) {
-      counters_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+      faults_.faults_injected.fetch_add(1, std::memory_order_relaxed);
       RecordTrace(obs::TraceEventKind::kFaultInjected, nullptr, -1, -1, 0,
                   "poison-packet");
       queue_.Push(Task{nullptr, [this] {
-                         counters_.poison_dropped.fetch_add(
+                         faults_.poison_dropped.fetch_add(
                              1, std::memory_order_relaxed);
                          RecordTrace(obs::TraceEventKind::kFaultRecovered,
                                      nullptr, -1, -1, 0, "poison-dropped");
@@ -316,9 +316,6 @@ class SchedulerImpl {
 
   BufferManager* buffer() { return &buffer_; }
   StorageEngine* storage() { return storage_; }
-  /// Pool-wide counters (fault injection outcomes). Per-query work counters
-  /// live on QueryRuntime.
-  EngineCounters& counters() { return counters_; }
 
   /// Steady-clock nanoseconds since the scheduler started (trace
   /// timestamps).
@@ -405,7 +402,9 @@ class SchedulerImpl {
   StorageEngine* storage_;
   const SchedulerOptions options_;
   BufferManager buffer_;
-  EngineCounters counters_;
+  /// Pool-wide fault-injection outcomes. Per-query work counters live on
+  /// QueryRuntime.
+  EngineFaultStats faults_;
   obs::TraceRecorder trace_;
   std::shared_ptr<const obs::Trace> finished_trace_;
   std::chrono::steady_clock::time_point run_start_{};
@@ -438,13 +437,15 @@ class SchedulerImpl {
   std::vector<std::thread> workers_;
 
   // Lifetime totals (under admit_mu_), accumulated as queries retire.
-  struct SchedTotals {
-    uint64_t submitted = 0;
-    uint64_t admitted_immediately = 0;
-    uint64_t queued = 0;
-    uint64_t completed = 0;
-    uint64_t cancelled = 0;
-    uint64_t queue_wait_ns = 0;
+#define DFDB_SCHED_TOTALS(X)                       \
+  X(submitted, "sched.submitted")                  \
+  X(admitted_immediately, "sched.admitted")        \
+  X(queued, "sched.queued")                        \
+  X(completed, "sched.completed")                  \
+  X(cancelled, "sched.cancelled")                  \
+  X(queue_wait_ns, "sched.queue_wait_ns")
+  DFDB_COUNTERS(SchedTotalCounters, DFDB_SCHED_TOTALS);
+  struct SchedTotals : SchedTotalCounters {
     ExecStats work;  // Summed per-query work counters of completed queries.
   } totals_;
 };
@@ -757,7 +758,7 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
           break;
         case PlanOp::kProject: {
           if (!node->dedup) {
-            s = ProjectPage(in_schema, project_indices, page, &sink);
+            s = ProjectPage(in_schema, *project_indices, page, &sink);
             break;
           }
           // Parallel duplicate elimination: hash-partitioned shards so
@@ -765,7 +766,7 @@ void NodeState::RunUnaryTask(int slot, PendingPage p) {
           // projection buffer serves the whole page.
           std::string projected;
           for (int i = 0; i < page.num_tuples() && s.ok(); ++i) {
-            ProjectTupleInto(in_schema, page.tuple(i), project_indices,
+            ProjectTupleInto(in_schema, page.tuple(i), *project_indices,
                              &projected);
             DedupShard& shard = *dedup_shards[static_cast<size_t>(
                 DedupPartition(Slice(projected),
@@ -1154,12 +1155,7 @@ Status SchedulerImpl::BuildFusedChain(
       }
       ns->fused->AddFilter(*pred);
     } else if (a->op == PlanOp::kProject) {
-      std::vector<int> indices;
-      for (const std::string& name : a->columns) {
-        DFDB_ASSIGN_OR_RETURN(int idx, in.ColumnIndex(name));
-        indices.push_back(idx);
-      }
-      ns->fused->AddProject(in, indices);
+      ns->fused->AddProject(in, ns->query->physical.project_indices(*a));
     } else {
       return Status::Internal("unexpected op in fused chain");
     }
@@ -1198,15 +1194,7 @@ NodeState* SchedulerImpl::BuildNode(const PlanNode* n, NodeState* parent,
   Status setup = Status::OK();
   switch (n->op) {
     case PlanOp::kProject: {
-      const Schema& in = n->child(0).output_schema;
-      for (const std::string& name : n->columns) {
-        auto idx = in.ColumnIndex(name);
-        if (!idx.ok()) {
-          setup = idx.status();
-          break;
-        }
-        ns->project_indices.push_back(*idx);
-      }
+      ns->project_indices = &q->physical.project_indices(*n);
       if (n->dedup) {
         const int shards = std::max(1, opts().dedup_partitions);
         for (int i = 0; i < shards; ++i) {
@@ -1499,13 +1487,7 @@ std::function<void()> SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   ExecStats qs;
   qs.wall_seconds =
       std::chrono::duration<double>(q->completed_at - q->submitted_at).count();
-  qs.tasks_executed = q->counters.tasks_executed.load();
-  qs.packets = q->counters.packets.load();
-  qs.arbitration_bytes = q->counters.arbitration_bytes.load();
-  qs.distribution_bytes = q->counters.distribution_bytes.load();
-  qs.overhead_bytes = q->counters.overhead_bytes.load();
-  qs.pages_produced = q->counters.pages_produced.load();
-  qs.tuples_produced = q->counters.tuples_produced.load();
+  static_cast<EngineWorkCounters&>(qs) = q->counters.Snapshot();
   qs.pipeline = q->counters.pipeline.Snapshot();
   qs.kernel = q->counters.kernel.Snapshot();
   qs.index = q->counters.index.Snapshot();
@@ -1516,23 +1498,11 @@ std::function<void()> SchedulerImpl::FulfillLocked(QueryRuntime* q) {
   qs.sched_queue_wait_ns = q->queue_wait_ns;
   qs.sched_skips = q->sched_skips;
   // Storage-wide MVCC stats observed at this query's completion.
-  const MvccStats mv = MvccDelta();
-  qs.mvcc_snapshots_open = mv.snapshots_open;
-  qs.mvcc_snapshots_captured = mv.snapshots_captured;
-  qs.mvcc_versions_live = mv.versions_live;
-  qs.mvcc_pages_copied = mv.pages_copied;
-  qs.mvcc_gc_reclaimed = mv.gc_reclaimed;
-  qs.mvcc_commits = mv.commits;
+  static_cast<EngineMvccCounters&>(qs) = MvccCountersOf(MvccDelta());
 
   ++totals_.completed;
   totals_.queue_wait_ns += q->queue_wait_ns;
-  totals_.work.tasks_executed += qs.tasks_executed;
-  totals_.work.packets += qs.packets;
-  totals_.work.arbitration_bytes += qs.arbitration_bytes;
-  totals_.work.distribution_bytes += qs.distribution_bytes;
-  totals_.work.overhead_bytes += qs.overhead_bytes;
-  totals_.work.pages_produced += qs.pages_produced;
-  totals_.work.tuples_produced += qs.tuples_produced;
+  static_cast<EngineWorkCounters&>(totals_.work) += qs;
   totals_.work.pipeline += qs.pipeline;
   totals_.work.kernel += qs.kernel;
   totals_.work.index += qs.index;
@@ -1678,12 +1648,12 @@ void SchedulerImpl::WorkerLoop(int worker_index) {
       // Fail-stop at a packet boundary: the claimed task has not run, so
       // handing it back re-executes it from scratch on a survivor and the
       // results are exactly those of a healthy run.
-      counters_.faults_injected.fetch_add(1, std::memory_order_relaxed);
-      counters_.workers_abandoned.fetch_add(1, std::memory_order_relaxed);
+      faults_.faults_injected.fetch_add(1, std::memory_order_relaxed);
+      faults_.workers_abandoned.fetch_add(1, std::memory_order_relaxed);
       RecordTrace(obs::TraceEventKind::kFaultInjected, nullptr, -1,
                   worker_index, 0, "worker-abandon");
       if (queue_.TryPush(*task)) {
-        counters_.redispatched_tasks.fetch_add(1, std::memory_order_relaxed);
+        faults_.redispatched_tasks.fetch_add(1, std::memory_order_relaxed);
         RecordTrace(obs::TraceEventKind::kFaultRecovered, nullptr, -1,
                     worker_index, 0, "task-redispatched");
         return;
@@ -1803,22 +1773,13 @@ ExecStats SchedulerImpl::AggregateStats() const {
   stats.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - run_start_)
                            .count();
-  stats.faults_injected = counters_.faults_injected.load();
-  stats.workers_abandoned = counters_.workers_abandoned.load();
-  stats.redispatched_tasks = counters_.redispatched_tasks.load();
-  stats.poison_dropped = counters_.poison_dropped.load();
+  static_cast<EngineFaultCounters&>(stats) = faults_.Snapshot();
   stats.sched_admitted = totals_.admitted_immediately;
   stats.sched_queued = totals_.queued;
   stats.sched_requeues = admission_.requeue_failures();
   stats.sched_queue_wait_ns = totals_.queue_wait_ns;
   stats.sched_skips = admission_.total_skips();
-  const MvccStats mv = MvccDelta();
-  stats.mvcc_snapshots_open = mv.snapshots_open;
-  stats.mvcc_snapshots_captured = mv.snapshots_captured;
-  stats.mvcc_versions_live = mv.versions_live;
-  stats.mvcc_pages_copied = mv.pages_copied;
-  stats.mvcc_gc_reclaimed = mv.gc_reclaimed;
-  stats.mvcc_commits = mv.commits;
+  static_cast<EngineMvccCounters&>(stats) = MvccCountersOf(MvccDelta());
   stats.buffer = buffer_.stats();
   stats.trace = finished_trace_;
   return stats;
@@ -1826,15 +1787,10 @@ ExecStats SchedulerImpl::AggregateStats() const {
 
 void SchedulerImpl::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   std::lock_guard<std::mutex> lock(admit_mu_);
-  registry->Set("engine.sched.submitted", totals_.submitted);
-  registry->Set("engine.sched.admitted", totals_.admitted_immediately);
-  registry->Set("engine.sched.queued", totals_.queued);
-  registry->Set("engine.sched.completed", totals_.completed);
-  registry->Set("engine.sched.cancelled", totals_.cancelled);
+  obs::RegisterCounters<SchedTotalCounters>(totals_, "engine.", registry);
   registry->Set("engine.sched.requeues", admission_.requeue_failures());
   registry->Set("engine.sched.requeue_failures", admission_.requeue_failures());
   registry->Set("engine.sched.skips", admission_.total_skips());
-  registry->Set("engine.sched.queue_wait_ns", totals_.queue_wait_ns);
   registry->Set("engine.sched.active_queries",
                 static_cast<uint64_t>(active_queries_));
   registry->Set("engine.sched.queue_depth",
@@ -1846,12 +1802,7 @@ void SchedulerImpl::SnapshotMetrics(obs::MetricsRegistry* registry) const {
   registry->Set("engine.sched.pool.peak_busy",
                 static_cast<uint64_t>(std::max(0, peak_busy_workers_.load())));
   const MvccStats mv = MvccDelta();
-  registry->Set("engine.mvcc.snapshots_open", mv.snapshots_open);
-  registry->Set("engine.mvcc.snapshots_captured", mv.snapshots_captured);
-  registry->Set("engine.mvcc.versions_live", mv.versions_live);
-  registry->Set("engine.mvcc.pages_copied", mv.pages_copied);
-  registry->Set("engine.mvcc.gc_reclaimed", mv.gc_reclaimed);
-  registry->Set("engine.mvcc.commits", mv.commits);
+  obs::RegisterCounters(MvccCountersOf(mv), "engine.", registry);
   registry->Set("engine.mvcc.last_commit_ts", mv.last_commit_ts);
 }
 
@@ -1896,7 +1847,11 @@ Scheduler::Scheduler(StorageEngine* storage, SchedulerOptions options)
                                                       std::move(options))) {}
 
 Scheduler::Scheduler(StorageEngine* storage, ExecOptions exec_options)
-    : Scheduler(storage, SchedulerOptions{std::move(exec_options), 8, false}) {}
+    : Scheduler(storage, [&] {
+        SchedulerOptions options;
+        options.exec = std::move(exec_options);
+        return options;
+      }()) {}
 
 Scheduler::~Scheduler() = default;
 

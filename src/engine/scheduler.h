@@ -15,12 +15,10 @@
 /// anti-starvation rule so a stream of later writers cannot park it
 /// forever (see AdmissionQueue in concurrency.h).
 ///
-/// Unlike Executor::Execute(), which historically built and tore down a
-/// whole worker pool per call, a Scheduler keeps its workers resident:
-/// concurrent users genuinely share the IP pool, and worker threads
-/// multiplex task queues across every admitted query. Executor::Execute and
-/// Executor::ExecuteBatch are now thin compatibility wrappers over a
-/// private, per-call Scheduler.
+/// A Scheduler keeps its workers resident: concurrent users genuinely share
+/// the IP pool, and worker threads multiplex task queues across every
+/// admitted query. RunQuery/RunBatch (run.h) are one-shot conveniences over
+/// a private, per-call Scheduler.
 
 #ifndef DFDB_ENGINE_SCHEDULER_H_
 #define DFDB_ENGINE_SCHEDULER_H_
@@ -60,8 +58,7 @@ struct SchedulerOptions {
   /// When set, worker threads are not started until Start() is called.
   /// Every Submit() before Start() only enqueues work, so a single-worker
   /// scheduler replays a batch with a deterministic schedule — the property
-  /// the byte-identical trace-export tests (and the Executor compatibility
-  /// wrappers) rely on.
+  /// the byte-identical trace-export tests (and RunQuery/RunBatch) rely on.
   bool defer_worker_start = false;
 };
 

@@ -6,7 +6,6 @@
 
 #include "common/macros.h"
 #include "index/index_manager.h"
-#include "obs/metrics.h"
 
 namespace dfdb {
 namespace {
@@ -108,15 +107,6 @@ HeapFile::PageFilter DeletePageFilter(const CompiledPredicate* program,
   return [program, schema](const ZoneMapEntry& entry) {
     return ZoneMapMayMatch(entry, schema, program->col_compares());
   };
-}
-
-void RegisterIndexMetrics(const IndexPruneCounters& counters,
-                          const char* prefix, obs::MetricsRegistry* registry) {
-  const std::string p(prefix);
-  registry->Set(p + "pages_pruned", counters.pages_pruned);
-  registry->Set(p + "zonemap_hits", counters.zonemap_hits);
-  registry->Set(p + "gridfile_probes", counters.gridfile_probes);
-  registry->Set(p + "fallback_scans", counters.fallback_scans);
 }
 
 StatusOr<std::vector<PageId>> ResolveScanPages(StorageEngine* storage,

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/sim_time.h"
+#include "obs/counter_family.h"
 
 namespace dfdb {
 
@@ -100,18 +101,27 @@ struct FaultPlan {
   std::string ToString() const;
 };
 
+/// \brief Injected faults and recovery events (machine.faults.*).
+#define DFDB_MACHINE_FAULT_COUNTERS(X)                        \
+  /* Faults that actually fired. */                           \
+  X(injected, "injected")                                     \
+  X(ip_kills, "ip_kills")                                     \
+  X(ic_failures, "ic_failures")                               \
+  X(packets_dropped, "packets_dropped")                       \
+  X(packets_corrupted, "packets_corrupted")                   \
+  X(cache_stalls, "cache_stalls")                             \
+  /* IC acknowledgement timeouts. */                          \
+  X(timeouts, "timeouts")                                     \
+  /* Same-IP retransmissions. */                              \
+  X(retries, "retries")                                       \
+  /* Units re-dispatched to survivors. */                     \
+  X(redispatches, "redispatches")                             \
+  /* Instructions moved off a dead IC. */                     \
+  X(instructions_rehomed, "instructions_rehomed")
+DFDB_COUNTERS(MachineFaultCounters, DFDB_MACHINE_FAULT_COUNTERS);
+
 /// \brief Every recovery event, counted (lands in MachineReport::faults).
-struct FaultStats {
-  uint64_t injected = 0;           ///< Faults that actually fired.
-  uint64_t ip_kills = 0;
-  uint64_t ic_failures = 0;
-  uint64_t packets_dropped = 0;
-  uint64_t packets_corrupted = 0;
-  uint64_t cache_stalls = 0;
-  uint64_t timeouts = 0;           ///< IC acknowledgement timeouts.
-  uint64_t retries = 0;            ///< Same-IP retransmissions.
-  uint64_t redispatches = 0;       ///< Units re-dispatched to survivors.
-  uint64_t instructions_rehomed = 0;  ///< Instructions moved off a dead IC.
+struct FaultStats : MachineFaultCounters {
   SimTime retry_ticks_lost;        ///< Simulated time burned in backoff.
   SimTime cache_stall_time;        ///< Total injected stall window.
 

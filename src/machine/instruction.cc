@@ -31,6 +31,7 @@ int CompileNode(const PlanNode* n, uint64_t query_id, size_t query_index,
   instr.node = n;
   instr.pred = physical.predicate(*n);
   instr.join = physical.join(*n);
+  if (n->op == PlanOp::kProject) instr.project = &physical.project_indices(*n);
   instr.output_schema = n->output_schema;
   instr.barrier = IsBarrierOp(*n);
   for (int i = 0; i < n->num_children(); ++i) {

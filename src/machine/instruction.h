@@ -61,6 +61,8 @@ struct MachineInstruction {
   /// the query's PhysicalPlan; null = interpret the node's Expr tree.
   const CompiledPredicate* pred = nullptr;
   const CompiledJoinPredicate* join = nullptr;
+  /// kProject: input column per output column, from the PhysicalPlan.
+  const std::vector<int>* project = nullptr;
   std::vector<MachineOperand> operands;
   /// Consuming instruction (-1 = results go to the host via the MC).
   int consumer = -1;

@@ -27,33 +27,6 @@ std::string MachineReport::ToString() const {
   return out;
 }
 
-void RegisterMetrics(const LevelBytes& bytes, obs::MetricsRegistry* registry) {
-  registry->Set("machine.outer_ring_bytes", bytes.outer_ring);
-  registry->Set("machine.inner_ring_bytes", bytes.inner_ring);
-  registry->Set("machine.cache_to_ic_bytes", bytes.cache_to_ic);
-  registry->Set("machine.ic_to_cache_bytes", bytes.ic_to_cache);
-  registry->Set("machine.disk_read_bytes", bytes.disk_read);
-  registry->Set("machine.disk_write_bytes", bytes.disk_write);
-}
-
-void RegisterMetrics(const FaultStats& faults, obs::MetricsRegistry* registry) {
-  registry->Set("machine.faults.injected", faults.injected);
-  registry->Set("machine.faults.ip_kills", faults.ip_kills);
-  registry->Set("machine.faults.ic_failures", faults.ic_failures);
-  registry->Set("machine.faults.packets_dropped", faults.packets_dropped);
-  registry->Set("machine.faults.packets_corrupted", faults.packets_corrupted);
-  registry->Set("machine.faults.cache_stalls", faults.cache_stalls);
-  registry->Set("machine.faults.timeouts", faults.timeouts);
-  registry->Set("machine.faults.retries", faults.retries);
-  registry->Set("machine.faults.redispatches", faults.redispatches);
-  registry->Set("machine.faults.instructions_rehomed",
-                faults.instructions_rehomed);
-  registry->Set("machine.faults.retry_ns_lost",
-                static_cast<uint64_t>(faults.retry_ticks_lost.nanos()));
-  registry->Set("machine.faults.cache_stall_ns",
-                static_cast<uint64_t>(faults.cache_stall_time.nanos()));
-}
-
 obs::RunReport MachineReport::ToReport() const {
   obs::RunReport report;
   report.backend = "machine";
@@ -62,23 +35,23 @@ obs::RunReport MachineReport::ToReport() const {
   report.data_bytes = bytes.outer_ring;
   report.packets = instruction_packets + result_packets + control_packets;
   report.faults = faults.injected;
-  RegisterMetrics(bytes, &report.counters);
-  RegisterMetrics(faults, &report.counters);
-  report.counters.Set("machine.instruction_packets", instruction_packets);
-  report.counters.Set("machine.result_packets", result_packets);
-  report.counters.Set("machine.control_packets", control_packets);
-  report.counters.Set("machine.broadcasts", broadcasts);
-  report.counters.Set("machine.direct_routes", direct_routes);
-  report.counters.Set("machine.events", events);
-  RegisterPipelineMetrics(pipeline, "machine.pipeline.", &report.counters);
-  RegisterKernelMetrics(kernel, "machine.kernel.", &report.counters);
-  RegisterIndexMetrics(index, "machine.index.", &report.counters);
-  RegisterPushdownMetrics(pushdown, "machine.pushdown.", &report.counters);
-  report.counters.Set("machine.num_ips", static_cast<uint64_t>(num_ips));
-  report.counters.Set("machine.makespan_ns",
-                      static_cast<uint64_t>(makespan.nanos()));
-  report.counters.Set("machine.ip_busy_ns",
-                      static_cast<uint64_t>(ip_busy_total.nanos()));
+  obs::MetricsRegistry* registry = &report.counters;
+  obs::RegisterCounters(bytes, "machine.", registry);
+  obs::RegisterCounters<MachinePacketCounters>(*this, "machine.", registry);
+  obs::RegisterCounters<MachineFaultCounters>(faults, "machine.faults.",
+                                              registry);
+  registry->Set("machine.faults.retry_ns_lost",
+                static_cast<uint64_t>(faults.retry_ticks_lost.nanos()));
+  registry->Set("machine.faults.cache_stall_ns",
+                static_cast<uint64_t>(faults.cache_stall_time.nanos()));
+  obs::RegisterCounters(pipeline, "machine.pipeline.", registry);
+  obs::RegisterCounters(kernel, "machine.kernel.", registry);
+  obs::RegisterCounters(index, "machine.index.", registry);
+  obs::RegisterCounters(pushdown, "machine.pushdown.", registry);
+  registry->Set("machine.num_ips", static_cast<uint64_t>(num_ips));
+  registry->Set("machine.makespan_ns", static_cast<uint64_t>(makespan.nanos()));
+  registry->Set("machine.ip_busy_ns",
+                static_cast<uint64_t>(ip_busy_total.nanos()));
   report.trace = trace;
   return report;
 }

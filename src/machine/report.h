@@ -14,6 +14,7 @@
 #include "engine/query_result.h"
 #include "index/index_stats.h"
 #include "machine/fault_injector.h"
+#include "obs/counter_family.h"
 #include "obs/run_report.h"
 #include "operators/kernels.h"
 #include "ra/physical_plan.h"
@@ -66,28 +67,39 @@ struct MachineOptions {
 };
 
 /// \brief Bytes crossing each level of the machine (Figure 4.2's y-axis is
-/// these totals divided by the execution time).
-struct LevelBytes {
-  uint64_t outer_ring = 0;    ///< IC <-> IP instruction/result/control.
-  uint64_t inner_ring = 0;    ///< MC <-> IC control.
-  uint64_t cache_to_ic = 0;   ///< Disk cache -> IC local memory.
-  uint64_t ic_to_cache = 0;   ///< IC local memory -> disk cache (evictions).
-  uint64_t disk_read = 0;     ///< Mass storage -> disk cache.
-  uint64_t disk_write = 0;    ///< Disk cache -> mass storage.
-};
+/// these totals divided by the execution time), exported as
+/// `machine.*_bytes`.
+#define DFDB_LEVEL_BYTES(X)                                         \
+  /* IC <-> IP instruction/result/control. */                       \
+  X(outer_ring, "outer_ring_bytes")                                 \
+  /* MC <-> IC control. */                                          \
+  X(inner_ring, "inner_ring_bytes")                                 \
+  /* Disk cache -> IC local memory. */                              \
+  X(cache_to_ic, "cache_to_ic_bytes")                               \
+  /* IC local memory -> disk cache (evictions). */                  \
+  X(ic_to_cache, "ic_to_cache_bytes")                               \
+  /* Mass storage -> disk cache. */                                 \
+  X(disk_read, "disk_read_bytes")                                   \
+  /* Disk cache -> mass storage. */                                 \
+  X(disk_write, "disk_write_bytes")
+DFDB_COUNTERS(LevelBytes, DFDB_LEVEL_BYTES);
+
+/// \brief Packet and event counts of one simulation run (machine.*).
+#define DFDB_MACHINE_PACKET_COUNTERS(X)                             \
+  X(instruction_packets, "instruction_packets")                     \
+  X(result_packets, "result_packets")                               \
+  X(control_packets, "control_packets")                             \
+  X(broadcasts, "broadcasts")                                       \
+  /* Result pages routed IP -> IP without passing through an IC. */ \
+  X(direct_routes, "direct_routes")                                 \
+  X(events, "events")
+DFDB_COUNTERS(MachinePacketCounters, DFDB_MACHINE_PACKET_COUNTERS);
 
 /// \brief Everything measured by one simulation run.
-struct MachineReport {
+struct MachineReport : MachinePacketCounters {
   SimTime makespan;
   std::vector<SimTime> query_completion;  ///< Per query, submission order.
   LevelBytes bytes;
-  uint64_t instruction_packets = 0;
-  uint64_t result_packets = 0;
-  uint64_t control_packets = 0;
-  uint64_t broadcasts = 0;
-  /// Result pages routed IP -> IP without passing through an IC.
-  uint64_t direct_routes = 0;
-  uint64_t events = 0;
   SimTime ip_busy_total;
   int num_ips = 0;
   /// Injected faults and the recovery work they caused.
@@ -146,13 +158,6 @@ struct MachineReport {
 
   std::string ToString() const;
 };
-
-/// Registers LevelBytes under the observability naming scheme
-/// (`machine.outer_ring_bytes`, `machine.disk_read_bytes`, ...).
-void RegisterMetrics(const LevelBytes& bytes, obs::MetricsRegistry* registry);
-
-/// Registers FaultStats under `machine.faults.*`.
-void RegisterMetrics(const FaultStats& faults, obs::MetricsRegistry* registry);
 
 }  // namespace dfdb
 

@@ -2114,16 +2114,7 @@ StatusOr<std::pair<std::vector<PagePtr>, int64_t>> Sim::RunKernel(
       }
       break;
     case PlanOp::kProject: {
-      std::vector<int> indices;
-      for (const std::string& name : def.node->columns) {
-        auto idx = in_schema.ColumnIndex(name);
-        if (!idx.ok()) {
-          s = idx.status();
-          break;
-        }
-        indices.push_back(*idx);
-      }
-      if (!s.ok()) break;
+      const std::vector<int>& indices = *def.project;
       if (!def.node->dedup) {
         s = ProjectPage(in_schema, indices, in, &sink);
       } else if (IsParallelProject(*ir)) {

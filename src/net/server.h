@@ -41,6 +41,7 @@
 #include "common/status.h"
 #include "engine/scheduler.h"
 #include "net/protocol.h"
+#include "obs/counter_family.h"
 #include "obs/metrics.h"
 #include "ra/optimizer.h"
 #include "storage/storage_engine.h"
@@ -82,37 +83,48 @@ struct ServerOptions {
 };
 
 /// \brief Monotonic server-wide counters, exported as net.* metrics.
-struct ServerCounters {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_refused{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> rejected{0};          ///< kRetryLater responses.
-  std::atomic<uint64_t> invalid_requests{0};  ///< Parse/analyze failures.
-  std::atomic<uint64_t> protocol_errors{0};   ///< Corrupt frames (conn closed).
-  std::atomic<uint64_t> deadline_expired{0};
-  std::atomic<uint64_t> disconnects{0};
-  std::atomic<uint64_t> orphaned_results{0};  ///< Completions with no client.
-  std::atomic<uint64_t> bytes_in{0};
-  std::atomic<uint64_t> bytes_out{0};
-  std::atomic<uint64_t> pings{0};
-  /// Event-loop poll() returns: one per loop iteration. A loop that sleeps
-  /// until something happens keeps this near the number of events.
-  std::atomic<uint64_t> loop_wakeups{0};
-
-  // Distributed fragment execution, exported as net.exchange.*.
-  std::atomic<uint64_t> fragments{0};          ///< kFragment frames accepted.
-  std::atomic<uint64_t> fragment_errors{0};    ///< Fragments answered kError.
-  std::atomic<uint64_t> exchange_batches_in{0};
-  std::atomic<uint64_t> exchange_batches_out{0};
-  std::atomic<uint64_t> exchange_bytes_in{0};   ///< Tuple payload only.
-  std::atomic<uint64_t> exchange_bytes_out{0};  ///< Tuple payload only.
-  std::atomic<uint64_t> exchange_credits_granted{0};
-  std::atomic<uint64_t> exchange_credit_stalls{0};  ///< Output waits on credit.
-  std::atomic<uint64_t> exchange_credit_underflows{0};
-  std::atomic<uint64_t> exchange_unknown{0};  ///< Frames for no such exchange.
-  std::atomic<uint64_t> exchange_eofs{0};
-  std::atomic<uint64_t> exchange_broadcast_batches{0};
-};
+#define DFDB_SERVER_COUNTERS(X)                                             \
+  X(connections_accepted, "connections")                                    \
+  X(connections_refused, "connections.refused")                             \
+  X(requests, "requests")                                                   \
+  /* kRetryLater responses. */                                              \
+  X(rejected, "rejected")                                                   \
+  /* Parse/analyze failures. */                                             \
+  X(invalid_requests, "invalid_requests")                                   \
+  /* Corrupt frames (conn closed). */                                       \
+  X(protocol_errors, "protocol_errors")                                     \
+  X(deadline_expired, "deadline_expired")                                   \
+  X(disconnects, "disconnects")                                             \
+  /* Completions with no client. */                                         \
+  X(orphaned_results, "orphaned_results")                                   \
+  X(bytes_in, "bytes_in")                                                   \
+  X(bytes_out, "bytes_out")                                                 \
+  X(pings, "pings")                                                         \
+  /* Event-loop poll() returns: one per loop iteration. A loop that */      \
+  /* sleeps until something happens keeps this near the number of */        \
+  /* events. */                                                             \
+  X(loop_wakeups, "loop_wakeups")                                           \
+  /* Distributed fragment execution. kFragment frames accepted. */          \
+  X(fragments, "exchange.fragments")                                        \
+  /* Fragments answered kError. */                                          \
+  X(fragment_errors, "exchange.fragment_errors")                            \
+  X(exchange_batches_in, "exchange.batches_in")                             \
+  X(exchange_batches_out, "exchange.batches_out")                           \
+  /* Tuple payload only. */                                                 \
+  X(exchange_bytes_in, "exchange.bytes_in")                                 \
+  /* Tuple payload only. */                                                 \
+  X(exchange_bytes_out, "exchange.bytes_out")                               \
+  X(exchange_credits_granted, "exchange.credits_granted")                   \
+  /* Output waits on credit. */                                             \
+  X(exchange_credit_stalls, "exchange.credit_stalls")                       \
+  X(exchange_credit_underflows, "exchange.credit_underflows")               \
+  /* Frames for no such exchange. */                                        \
+  X(exchange_unknown, "exchange.unknown")                                   \
+  X(exchange_eofs, "exchange.eofs")                                         \
+  X(exchange_broadcast_batches, "exchange.broadcast_batches")
+DFDB_COUNTERS(ServerCountersSnapshot, DFDB_SERVER_COUNTERS);
+DFDB_ATOMIC_COUNTERS(ServerCounters, ServerCountersSnapshot,
+                     DFDB_SERVER_COUNTERS);
 
 /// \brief TCP front door over one StorageEngine + resident Scheduler.
 ///

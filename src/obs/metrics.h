@@ -4,14 +4,10 @@
 /// The registry is the *snapshot* side of observability: hot paths keep
 /// updating their existing cheap counters (std::atomic in the engine,
 /// plain uint64 in the single-threaded simulator), and at run completion
-/// each stats struct registers its values here under one dotted naming
-/// scheme:
-///
-///   engine.*           EngineCounters / ExecStats
-///   engine.faults.*    EngineFaultPlan outcomes
-///   storage.*          BufferStats (threads-engine hierarchy)
-///   machine.*          LevelBytes + packet counters
-///   machine.faults.*   FaultStats
+/// each counter family registers its values here under one dotted naming
+/// scheme (`engine.*`, `storage.*`, `machine.*`, `net.*`, `dist.*`). A
+/// family declares its fields and metric names once, in one list; see
+/// obs/counter_family.h.
 ///
 /// Keys are stored in a sorted map so Snapshot() and ToJson() are
 /// deterministic.

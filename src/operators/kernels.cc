@@ -4,20 +4,8 @@
 
 #include "common/hash.h"
 #include "common/macros.h"
-#include "obs/metrics.h"
 
 namespace dfdb {
-
-void RegisterKernelMetrics(const KernelStatsSnapshot& counters,
-                           const char* prefix, obs::MetricsRegistry* registry) {
-  const std::string p(prefix);
-  registry->Set(p + "compiled_pages", counters.compiled_pages);
-  registry->Set(p + "interpreted_pages", counters.interpreted_pages);
-  registry->Set(p + "compile_fallbacks", counters.compile_fallbacks);
-  registry->Set(p + "hash_joins", counters.hash_joins);
-  registry->Set(p + "nested_joins", counters.nested_joins);
-  registry->Set(p + "hash_build_collisions", counters.hash_build_collisions);
-}
 
 namespace {
 

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "catalog/schema.h"
-#include "obs/metrics.h"
+#include "obs/counter_family.h"
 #include "operators/page_sink.h"
 #include "ra/expr.h"
 #include "ra/expr_compile.h"
@@ -30,54 +30,24 @@
 
 namespace dfdb {
 
-/// \brief Plain copy of KernelStats for reporting.
-struct KernelStatsSnapshot {
-  uint64_t compiled_pages = 0;
-  uint64_t interpreted_pages = 0;
-  uint64_t compile_fallbacks = 0;
-  uint64_t hash_joins = 0;
-  uint64_t nested_joins = 0;
-  uint64_t hash_build_collisions = 0;
-
-  KernelStatsSnapshot& operator+=(const KernelStatsSnapshot& o) {
-    compiled_pages += o.compiled_pages;
-    interpreted_pages += o.interpreted_pages;
-    compile_fallbacks += o.compile_fallbacks;
-    hash_joins += o.hash_joins;
-    nested_joins += o.nested_joins;
-    hash_build_collisions += o.hash_build_collisions;
-    return *this;
-  }
-};
-
-/// Registers every counter under \p prefix, e.g. `engine.kernel.` ->
-/// `engine.kernel.compiled_pages`, ...
-void RegisterKernelMetrics(const KernelStatsSnapshot& counters,
-                           const char* prefix, obs::MetricsRegistry* registry);
-
-/// \brief Counters for the compiled-vs-interpreted kernel split, updated
-/// with relaxed atomics from concurrent workers. Engines embed one and
-/// export it as the `engine.kernel.*` / `machine.kernel.*` counter family.
-struct KernelStats {
-  std::atomic<uint64_t> compiled_pages{0};     ///< Pages run via a program.
-  std::atomic<uint64_t> interpreted_pages{0};  ///< Pages run via Expr::Eval.
-  std::atomic<uint64_t> compile_fallbacks{0};  ///< Predicates that refused to compile.
-  std::atomic<uint64_t> hash_joins{0};         ///< Page-pair joins on the hash path.
-  std::atomic<uint64_t> nested_joins{0};       ///< Page-pair joins on nested loops.
-  std::atomic<uint64_t> hash_build_collisions{0};  ///< Build-side slot probes.
-
-  KernelStatsSnapshot Snapshot() const {
-    KernelStatsSnapshot s;
-    s.compiled_pages = compiled_pages.load(std::memory_order_relaxed);
-    s.interpreted_pages = interpreted_pages.load(std::memory_order_relaxed);
-    s.compile_fallbacks = compile_fallbacks.load(std::memory_order_relaxed);
-    s.hash_joins = hash_joins.load(std::memory_order_relaxed);
-    s.nested_joins = nested_joins.load(std::memory_order_relaxed);
-    s.hash_build_collisions =
-        hash_build_collisions.load(std::memory_order_relaxed);
-    return s;
-  }
-};
+/// \brief Compiled-vs-interpreted kernel split. Engines embed the atomic
+/// KernelStats (updated with relaxed atomics from concurrent workers) and
+/// export its KernelStatsSnapshot as `engine.kernel.*` / `machine.kernel.*`.
+#define DFDB_KERNEL_COUNTERS(X)                                         \
+  /* Pages run via a program. */                                        \
+  X(compiled_pages, "compiled_pages")                                   \
+  /* Pages run via Expr::Eval. */                                       \
+  X(interpreted_pages, "interpreted_pages")                             \
+  /* Predicates that refused to compile. */                             \
+  X(compile_fallbacks, "compile_fallbacks")                             \
+  /* Page-pair joins on the hash path. */                               \
+  X(hash_joins, "hash_joins")                                           \
+  /* Page-pair joins on nested loops. */                                \
+  X(nested_joins, "nested_joins")                                       \
+  /* Build-side slot probes. */                                         \
+  X(hash_build_collisions, "hash_build_collisions")
+DFDB_COUNTERS(KernelStatsSnapshot, DFDB_KERNEL_COUNTERS);
+DFDB_ATOMIC_COUNTERS(KernelStats, KernelStatsSnapshot, DFDB_KERNEL_COUNTERS);
 
 /// \brief Reusable hash-table scratch for the equijoin fast path. One per
 /// worker/kernel; JoinPages sizes it per inner page, so repeated calls do

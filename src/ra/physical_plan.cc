@@ -6,17 +6,6 @@
 
 namespace dfdb {
 
-void RegisterPipelineMetrics(const PipelineCounters& counters,
-                             const char* prefix,
-                             obs::MetricsRegistry* registry) {
-  const std::string p(prefix);
-  registry->Set(p + "fused_edges", counters.fused_edges);
-  registry->Set(p + "materialized_edges", counters.materialized_edges);
-  registry->Set(p + "pages_elided", counters.pages_elided);
-  registry->Set(p + "fused_pages", counters.fused_pages);
-  registry->Set(p + "runtime_fallbacks", counters.runtime_fallbacks);
-}
-
 PhysicalPlan::PhysicalPlan(const PlanNode& root) { Lower(root, nullptr); }
 
 void PhysicalPlan::Lower(const PlanNode& n, const PlanNode* parent) {
@@ -42,6 +31,13 @@ void PhysicalPlan::Lower(const PlanNode& n, const PlanNode* parent) {
       node.join.emplace(*std::move(compiled));
     } else {
       ++compile_fallbacks_;
+    }
+  } else if (n.op == PlanOp::kProject) {
+    const Schema& in = n.child(0).output_schema;
+    for (const std::string& name : n.columns) {
+      auto idx = in.ColumnIndex(name);
+      DFDB_CHECK(idx.ok()) << "resolved project lost column " << name;
+      node.project.push_back(*idx);
     }
   } else if (n.op == PlanOp::kScan && n.pushdown) {
     // The parent was lowered first (pre-order), so its program exists.
@@ -76,6 +72,14 @@ const CompiledPredicate* PhysicalPlan::pushdown(const PlanNode& scan) const {
   if (node == nullptr || node->pushdown_from < 0) return nullptr;
   const Node& from = nodes_[static_cast<size_t>(node->pushdown_from)];
   return from.pred.has_value() ? &*from.pred : nullptr;
+}
+
+const std::vector<int>& PhysicalPlan::project_indices(
+    const PlanNode& project) const {
+  const Node* node = At(project);
+  DFDB_CHECK(node != nullptr && project.op == PlanOp::kProject)
+      << "project_indices of a node outside the lowered plan";
+  return node->project;
 }
 
 }  // namespace dfdb

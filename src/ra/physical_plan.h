@@ -6,73 +6,40 @@
 /// backends derive from those marks that does not depend on the execution
 /// model lives here, built once per query: the compiled predicate of every
 /// restrict, delete and join, the pushdown program of every marked scan,
-/// and the count of predicates that refused compilation. The threads
-/// engine and the ring simulator then only decide *how* to run the
-/// programs, never *which* programs to run.
+/// the input-column indices of every projection, and the count of
+/// predicates that refused compilation. The threads engine and the ring
+/// simulator then only decide *how* to run the programs, never *which*
+/// programs to run.
 
 #ifndef DFDB_RA_PHYSICAL_PLAN_H_
 #define DFDB_RA_PHYSICAL_PLAN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/counter_family.h"
 #include "ra/expr_compile.h"
 #include "ra/plan.h"
 
 namespace dfdb {
 
 /// \brief Pipeline-fusion outcomes (engine.pipeline.* / machine.pipeline.*).
-struct PipelineCounters {
-  /// Edges run fused (engine: streamed or collapsed; machine: folded into
-  /// a consumer operand).
-  uint64_t fused_edges = 0;
-  uint64_t materialized_edges = 0;
-  /// Intermediate pages (engine) or operand units (machine) the fused
-  /// edges never built, shipped or repacked.
-  uint64_t pages_elided = 0;
-  /// Input pages run through a fused program.
-  uint64_t fused_pages = 0;
-  /// Edges the plan marked fused that the backend had to materialize.
-  uint64_t runtime_fallbacks = 0;
-
-  PipelineCounters& operator+=(const PipelineCounters& o) {
-    fused_edges += o.fused_edges;
-    materialized_edges += o.materialized_edges;
-    pages_elided += o.pages_elided;
-    fused_pages += o.fused_pages;
-    runtime_fallbacks += o.runtime_fallbacks;
-    return *this;
-  }
-};
-
-/// \brief Thread-safe accumulator for PipelineCounters, embedded in the
-/// engine's per-query counters.
-struct PipelineStats {
-  std::atomic<uint64_t> fused_edges{0};
-  std::atomic<uint64_t> materialized_edges{0};
-  std::atomic<uint64_t> pages_elided{0};
-  std::atomic<uint64_t> fused_pages{0};
-  std::atomic<uint64_t> runtime_fallbacks{0};
-
-  PipelineCounters Snapshot() const {
-    PipelineCounters c;
-    c.fused_edges = fused_edges.load(std::memory_order_relaxed);
-    c.materialized_edges = materialized_edges.load(std::memory_order_relaxed);
-    c.pages_elided = pages_elided.load(std::memory_order_relaxed);
-    c.fused_pages = fused_pages.load(std::memory_order_relaxed);
-    c.runtime_fallbacks = runtime_fallbacks.load(std::memory_order_relaxed);
-    return c;
-  }
-};
-
-/// Registers every counter under \p prefix, e.g. `engine.pipeline.` ->
-/// `engine.pipeline.fused_edges`, ...
-void RegisterPipelineMetrics(const PipelineCounters& counters,
-                             const char* prefix,
-                             obs::MetricsRegistry* registry);
+/// The engine's per-query counters embed the atomic PipelineStats.
+#define DFDB_PIPELINE_COUNTERS(X)                                          \
+  /* Edges run fused (engine: streamed or collapsed; machine: folded */    \
+  /* into a consumer operand). */                                          \
+  X(fused_edges, "fused_edges")                                            \
+  X(materialized_edges, "materialized_edges")                              \
+  /* Intermediate pages (engine) or operand units (machine) the fused */   \
+  /* edges never built, shipped or repacked. */                            \
+  X(pages_elided, "pages_elided")                                          \
+  /* Input pages run through a fused program. */                           \
+  X(fused_pages, "fused_pages")                                            \
+  /* Edges the plan marked fused that the backend had to materialize. */   \
+  X(runtime_fallbacks, "runtime_fallbacks")
+DFDB_COUNTERS(PipelineCounters, DFDB_PIPELINE_COUNTERS);
+DFDB_ATOMIC_COUNTERS(PipelineStats, PipelineCounters, DFDB_PIPELINE_COUNTERS);
 
 /// \brief Compiled programs of one resolved query, keyed by PlanNode::id.
 class PhysicalPlan {
@@ -100,6 +67,9 @@ class PhysicalPlan {
   /// restrict's input schema is the scan's, so the program is shared).
   /// Null = raw path.
   const CompiledPredicate* pushdown(const PlanNode& scan) const;
+  /// kProject: the input-column index of every output column, resolved
+  /// once here (the analyzer already proved every column exists).
+  const std::vector<int>& project_indices(const PlanNode& project) const;
 
   /// Restrict, delete and join predicates that refused compilation
   /// (the kernel.compile_fallbacks counter).
@@ -113,6 +83,7 @@ class PhysicalPlan {
     std::optional<CompiledPredicate> pred;
     std::optional<CompiledJoinPredicate> join;
     int pushdown_from = -1;  ///< kScan: id of the restrict whose program runs.
+    std::vector<int> project;  ///< kProject: input column per output column.
   };
 
   void Lower(const PlanNode& n, const PlanNode* parent);

@@ -19,15 +19,7 @@ std::string BufferStats::ToString() const {
 }
 
 void RegisterMetrics(const BufferStats& stats, obs::MetricsRegistry* registry) {
-  registry->Set("storage.disk_read_bytes", stats.disk_read_bytes);
-  registry->Set("storage.disk_write_bytes", stats.disk_write_bytes);
-  registry->Set("storage.disk_reads", stats.disk_reads);
-  registry->Set("storage.disk_writes", stats.disk_writes);
-  registry->Set("storage.cache_read_bytes", stats.cache_read_bytes);
-  registry->Set("storage.cache_write_bytes", stats.cache_write_bytes);
-  registry->Set("storage.cache_reads", stats.cache_reads);
-  registry->Set("storage.cache_writes", stats.cache_writes);
-  registry->Set("storage.cache_hits", stats.local_hits);
+  obs::RegisterCounters<BufferCounters>(stats, "storage.", registry);
 }
 
 BufferManager::BufferManager(PageStore* store, int local_capacity_pages,

@@ -17,6 +17,7 @@
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "obs/counter_family.h"
 #include "storage/page_store.h"
 #include "storage/pushdown.h"
 
@@ -26,20 +27,25 @@ namespace obs {
 class MetricsRegistry;
 }  // namespace obs
 
-/// \brief Byte and operation counters across the hierarchy boundaries.
-struct BufferStats {
-  /// Mass storage <-> disk cache.
-  uint64_t disk_read_bytes = 0;
-  uint64_t disk_write_bytes = 0;
-  uint64_t disk_reads = 0;
-  uint64_t disk_writes = 0;
-  /// Disk cache <-> local memory.
-  uint64_t cache_read_bytes = 0;
-  uint64_t cache_write_bytes = 0;
-  uint64_t cache_reads = 0;
-  uint64_t cache_writes = 0;
-  /// Requests satisfied without any transfer.
-  uint64_t local_hits = 0;
+/// \brief Byte and operation counters across the hierarchy boundaries,
+/// exported as `storage.*` (`local_hits` as `storage.cache_hits`: a request
+/// satisfied at the top of the hierarchy).
+#define DFDB_BUFFER_COUNTERS(X)                          \
+  /* Mass storage <-> disk cache. */                     \
+  X(disk_read_bytes, "disk_read_bytes")                  \
+  X(disk_write_bytes, "disk_write_bytes")                \
+  X(disk_reads, "disk_reads")                            \
+  X(disk_writes, "disk_writes")                          \
+  /* Disk cache <-> local memory. */                     \
+  X(cache_read_bytes, "cache_read_bytes")                \
+  X(cache_write_bytes, "cache_write_bytes")              \
+  X(cache_reads, "cache_reads")                          \
+  X(cache_writes, "cache_writes")                        \
+  /* Requests satisfied without any transfer. */         \
+  X(local_hits, "cache_hits")
+DFDB_COUNTERS(BufferCounters, DFDB_BUFFER_COUNTERS);
+
+struct BufferStats : BufferCounters {
 
   uint64_t total_transferred_bytes() const {
     return disk_read_bytes + disk_write_bytes + cache_read_bytes +
@@ -49,10 +55,7 @@ struct BufferStats {
   std::string ToString() const;
 };
 
-/// Registers every BufferStats counter into \p registry under the
-/// observability naming scheme: `storage.disk_read_bytes`,
-/// `storage.cache_reads`, ... (`local_hits` is exported as
-/// `storage.cache_hits`: a request satisfied at the top of the hierarchy).
+/// Registers every BufferStats counter into \p registry under `storage.`.
 void RegisterMetrics(const BufferStats& stats, obs::MetricsRegistry* registry);
 
 /// \brief LRU-managed two-level cache over a PageStore.

@@ -11,14 +11,18 @@
 ///   - under a fault storm the trace carries exactly one kFaultInjected
 ///     event per fault counted in MachineReport::faults.injected.
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dist/coordinator.h"
 #include "engine/run.h"
 #include "machine/simulator.h"
+#include "net/server.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -370,6 +374,149 @@ TEST_F(ObsBackendTest, BothBackendsProduceComparableRunReports) {
     EXPECT_FALSE(run->counters.counters().empty());
     EXPECT_FALSE(run->ToString().empty());
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Exported metric names
+// ---------------------------------------------------------------------------
+
+// Benches, report schema checks and the end-to-end benchmark key on these
+// dotted names, so the set each exporter registers is pinned: a name that
+// appears or disappears fails here.
+void ExpectNames(const obs::MetricsRegistry& registry,
+                 const std::vector<std::string>& want) {
+  std::vector<std::string> got;
+  for (const auto& [name, value] : registry.counters()) got.push_back(name);
+  std::vector<std::string> sorted_want = want;
+  std::sort(sorted_want.begin(), sorted_want.end());
+  std::vector<std::string> added;
+  std::vector<std::string> removed;
+  std::set_difference(got.begin(), got.end(), sorted_want.begin(),
+                      sorted_want.end(), std::back_inserter(added));
+  std::set_difference(sorted_want.begin(), sorted_want.end(), got.begin(),
+                      got.end(), std::back_inserter(removed));
+  std::string diff;
+  for (const std::string& n : added) diff += " +" + n;
+  for (const std::string& n : removed) diff += " -" + n;
+  EXPECT_TRUE(diff.empty()) << "metric names changed:" << diff;
+}
+
+TEST_F(ObsBackendTest, ExportedMetricNamesArePinned) {
+  auto storage = FreshStorage();
+  auto plans = Plans();
+
+  ExecOptions opts;
+  opts.granularity = Granularity::kPage;
+  opts.num_processors = 1;
+  opts.page_bytes = 2000;
+  ExecStats stats;
+  ASSERT_TRUE(RunQuery(storage.get(), *plans[0], opts, &stats).ok());
+  obs::MetricsRegistry engine;
+  RegisterMetrics(stats, &engine);
+  ExpectNames(engine,
+              {"engine.arbitration_bytes", "engine.distribution_bytes",
+               "engine.faults.injected", "engine.faults.poison_dropped",
+               "engine.faults.redispatched_tasks",
+               "engine.faults.workers_abandoned",
+               "engine.index.fallback_scans", "engine.index.gridfile_probes",
+               "engine.index.pages_pruned", "engine.index.zonemap_hits",
+               "engine.kernel.compile_fallbacks",
+               "engine.kernel.compiled_pages",
+               "engine.kernel.hash_build_collisions",
+               "engine.kernel.hash_joins", "engine.kernel.interpreted_pages",
+               "engine.kernel.nested_joins", "engine.mvcc.commits",
+               "engine.mvcc.gc_reclaimed", "engine.mvcc.pages_copied",
+               "engine.mvcc.snapshots_captured", "engine.mvcc.snapshots_open",
+               "engine.mvcc.versions_live", "engine.network_bytes",
+               "engine.overhead_bytes", "engine.packets",
+               "engine.pages_produced", "engine.pipeline.fused_edges",
+               "engine.pipeline.fused_pages",
+               "engine.pipeline.materialized_edges",
+               "engine.pipeline.pages_elided",
+               "engine.pipeline.runtime_fallbacks",
+               "engine.pushdown.bytes_elided", "engine.pushdown.fallbacks",
+               "engine.pushdown.pages_filtered", "engine.pushdown.tuples_in",
+               "engine.pushdown.tuples_out", "engine.sched.admitted",
+               "engine.sched.queue_wait_ns", "engine.sched.queued",
+               "engine.sched.requeues", "engine.sched.skips",
+               "engine.tasks_executed", "engine.tuples_produced",
+               "storage.cache_hits", "storage.cache_read_bytes",
+               "storage.cache_reads", "storage.cache_write_bytes",
+               "storage.cache_writes", "storage.disk_read_bytes",
+               "storage.disk_reads", "storage.disk_write_bytes",
+               "storage.disk_writes"});
+
+  MachineSimulator sim(storage.get(), MachineOpts(/*trace=*/false));
+  auto machine_report = sim.Run(Raw(plans));
+  ASSERT_TRUE(machine_report.ok()) << machine_report.status();
+  ExpectNames(machine_report->ToReport().counters,
+              {"machine.broadcasts", "machine.cache_to_ic_bytes",
+               "machine.control_packets", "machine.direct_routes",
+               "machine.disk_read_bytes", "machine.disk_write_bytes",
+               "machine.events", "machine.faults.cache_stall_ns",
+               "machine.faults.cache_stalls", "machine.faults.ic_failures",
+               "machine.faults.injected",
+               "machine.faults.instructions_rehomed",
+               "machine.faults.ip_kills", "machine.faults.packets_corrupted",
+               "machine.faults.packets_dropped", "machine.faults.redispatches",
+               "machine.faults.retries", "machine.faults.retry_ns_lost",
+               "machine.faults.timeouts", "machine.ic_to_cache_bytes",
+               "machine.index.fallback_scans", "machine.index.gridfile_probes",
+               "machine.index.pages_pruned", "machine.index.zonemap_hits",
+               "machine.inner_ring_bytes", "machine.instruction_packets",
+               "machine.ip_busy_ns", "machine.kernel.compile_fallbacks",
+               "machine.kernel.compiled_pages",
+               "machine.kernel.hash_build_collisions",
+               "machine.kernel.hash_joins", "machine.kernel.interpreted_pages",
+               "machine.kernel.nested_joins", "machine.makespan_ns",
+               "machine.num_ips", "machine.outer_ring_bytes",
+               "machine.pipeline.fused_edges", "machine.pipeline.fused_pages",
+               "machine.pipeline.materialized_edges",
+               "machine.pipeline.pages_elided",
+               "machine.pipeline.runtime_fallbacks",
+               "machine.pushdown.bytes_elided", "machine.pushdown.fallbacks",
+               "machine.pushdown.pages_filtered", "machine.pushdown.tuples_in",
+               "machine.pushdown.tuples_out", "machine.result_packets"});
+
+  net::Server server(storage.get(), net::ServerOptions{});
+  obs::MetricsRegistry net;
+  server.SnapshotMetrics(&net);
+  ExpectNames(net,
+              {"engine.mvcc.commits", "engine.mvcc.gc_reclaimed",
+               "engine.mvcc.last_commit_ts", "engine.mvcc.pages_copied",
+               "engine.mvcc.snapshots_captured", "engine.mvcc.snapshots_open",
+               "engine.mvcc.versions_live", "engine.sched.active_queries",
+               "engine.sched.admitted", "engine.sched.cancelled",
+               "engine.sched.completed", "engine.sched.pool.busy",
+               "engine.sched.pool.peak_busy", "engine.sched.pool.workers",
+               "engine.sched.queue_depth", "engine.sched.queue_wait_ns",
+               "engine.sched.queued", "engine.sched.requeue_failures",
+               "engine.sched.requeues", "engine.sched.skips",
+               "engine.sched.submitted", "net.bytes_in", "net.bytes_out",
+               "net.connections", "net.connections.active",
+               "net.connections.refused", "net.deadline_expired",
+               "net.disconnects", "net.exchange.batches_in",
+               "net.exchange.batches_out", "net.exchange.broadcast_batches",
+               "net.exchange.bytes_in", "net.exchange.bytes_out",
+               "net.exchange.credit_stalls", "net.exchange.credit_underflows",
+               "net.exchange.credits_granted", "net.exchange.eofs",
+               "net.exchange.fragment_errors", "net.exchange.fragments",
+               "net.exchange.unknown", "net.inflight", "net.invalid_requests",
+               "net.loop_wakeups", "net.max_inflight", "net.orphaned_results",
+               "net.pings", "net.protocol_errors", "net.rejected",
+               "net.requests"});
+
+  dist::Coordinator coordinator(&storage->catalog(),
+                                dist::CoordinatorOptions{});
+  obs::MetricsRegistry dist;
+  coordinator.SnapshotMetrics(&dist);
+  ExpectNames(dist,
+              {"dist.batches_routed", "dist.broadcasts", "dist.bytes_shuffled",
+               "dist.credit_waits", "dist.errors", "dist.fragments",
+               "dist.gathers", "dist.queries", "dist.repartitions",
+               "dist.rows_returned", "dist.shuffle.mbit_s",
+               "dist.shuffle_micros", "dist.workers"});
 }
 
 }  // namespace
